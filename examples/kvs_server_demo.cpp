@@ -17,8 +17,7 @@ int main() {
   camp::util::SteadyClock clock;
   camp::kvs::ServerConfig config;
   config.port = 0;  // pick a free port
-  config.workers = 2;       // fixed worker pool (0 = one per core)
-  config.policy_shards = 2; // physical policy queues per engine shard
+  config.workers = 2;  // fixed worker pool (0 = one per core)
   config.store.shards = 2;
   config.store.engine.slab.memory_limit_bytes = 8u << 20;
 

@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
               "cost-miss-ratio", "evictions");
 
   const std::vector<std::string> specs{
-      "lru",      "camp",        "camp:p=1",    "camp:p=64",  "camp-f",
-      "camp-mt",  "gds",         "gdsf",        "greedy-dual", "arc",
-      "2q",       "lru-2",       "gd-wheel",    "clock",
-      "sampled-lru", "sampled-gds", "admit+camp"};
+      "lru",         "camp",        "camp:p=1",   "camp:p=64",
+      "camp-f",      "gds",         "gdsf",       "greedy-dual",
+      "arc",         "2q",          "lru-2",      "gd-wheel",
+      "clock",       "sampled-lru", "sampled-gds", "admit+camp"};
   for (const std::string& spec : specs) {
     auto cache = camp::policy::make_policy(spec, capacity);
     camp::sim::Simulator simulator(*cache);

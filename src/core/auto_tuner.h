@@ -25,11 +25,12 @@
 //
 // AutoTuner is a single-threaded decision core; SharedAutoTuner is the
 // thread-safe facade one *logical* cache shares across all of its shards
-// (ShardedCache shards, KvsStore shards). Shards never retune each other:
-// the tuner only bumps an atomic epoch, and each shard compares it against
-// its last-seen value and retunes itself lazily under its own locks — no
-// cross-shard lock edges, and the psel trace is identical for any shard
-// count (tests/camp_autotune_test.cc pins policy_shards ∈ {1,4}).
+// (KvsStore shards, or every cache one "camp:p=auto" factory builds).
+// Shards never retune each other: the tuner only bumps an atomic epoch,
+// and each shard compares it against its last-seen value and retunes
+// itself lazily under its own lock — no cross-shard lock edges, and the
+// psel trace is identical for any shard count (tests/camp_autotune_test.cc
+// pins 1 and 4 key-hash-routed shards).
 #pragma once
 
 #include <atomic>
@@ -150,8 +151,8 @@ class AutoTuner {
 /// Migration protocol: observe() only bumps the atomic `epoch`. Each shard
 /// keeps the epoch it last saw and, when it differs, retunes its own
 /// policy (under its own lock) to current_precision(). The tuner mutex
-/// ranks at util::LockRank::kAutoTuner, between the shard planes that feed
-/// it and the camp plane it must never reach into.
+/// ranks at util::LockRank::kAutoTuner, above the store shards that feed
+/// it; nothing else is locked while it is held.
 class SharedAutoTuner {
  public:
   explicit SharedAutoTuner(AutoTunerConfig config);

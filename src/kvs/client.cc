@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
@@ -43,6 +44,24 @@ void require_wire_key(std::string_view key) {
   }
 }
 
+/// A blocking connect() interrupted by a signal keeps handshaking in the
+/// background, and issuing it again fails (EALREADY, or EISCONN once it
+/// is done). So wait for the socket to turn writable instead and read the
+/// handshake's outcome from SO_ERROR. Returns 0 on success, else the errno
+/// that describes the failure.
+int finish_interrupted_connect(int fd) {
+  pollfd pfd{fd, POLLOUT, 0};
+  if (net::retry_eintr([&] {
+        return static_cast<ssize_t>(::poll(&pfd, 1, -1));
+      }) < 0) {
+    return errno;
+  }
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0) return errno;
+  return err;
+}
+
 }  // namespace
 
 KvsClient::KvsClient(const std::string& host, std::uint16_t port) {
@@ -55,10 +74,14 @@ KvsClient::KvsClient(const std::string& host, std::uint16_t port) {
     ::close(fd_);
     throw std::runtime_error("KvsClient: bad host address");
   }
+  int err = 0;
   if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    err = errno == EINTR ? finish_interrupted_connect(fd_) : errno;
+  }
+  if (err != 0) {
     ::close(fd_);
     throw std::runtime_error(std::string("KvsClient: connect failed: ") +
-                             std::strerror(errno));
+                             std::strerror(err));
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

@@ -95,7 +95,7 @@ class ClusterClient final : public KvsApi {
   // execute() returns — the join is the only publication point. The one
   // cell written from inside the fan-out is the failover counter, which is
   // atomic for exactly that reason. If add/remove-node-under-traffic ever
-  // becomes a requirement, nodes_ needs a util::SharedMutex ranked below
+  // becomes a requirement, nodes_ needs a readers-writer lock ranked below
   // kClusterPeerLink.
   coop::HashRing ring_;
   std::map<ClusterNodeId, KvsApi*> nodes_;

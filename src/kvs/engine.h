@@ -9,7 +9,7 @@
 //     subsequent iqset uses (set_time - miss_time) as the pair's cost
 //     ("the difference between these two timestamps is used as the cost").
 //
-// Not thread-safe by itself: ShardedKvs (sharded_cache.h) provides the
+// Not thread-safe by itself: KvsStore (kvs/store.h) provides the
 // hash-partitioned, per-shard-locked wrapper from the paper's Section 4.1.
 #pragma once
 

@@ -18,7 +18,6 @@
 #include "kvs/cluster.h"
 #include "kvs/compress.h"
 #include "kvs/net_io.h"
-#include "kvs/sharded_cache.h"
 
 namespace camp::kvs {
 
@@ -35,19 +34,6 @@ constexpr std::size_t kReadBudgetBytes = 256u << 10;
 
 /// Max buffers per writev batch (well under IOV_MAX everywhere).
 constexpr std::size_t kMaxIov = 8;
-
-// With policy_shards > 1 every engine's eviction policy becomes a
-// ShardedCache of that many physical queues built by the inner factory —
-// the paper's "hash partition keys across multiple physical queues".
-PolicyFactory wrap_policy_factory(PolicyFactory inner,
-                                  std::size_t policy_shards) {
-  if (policy_shards <= 1) return inner;
-  return [inner = std::move(inner),
-          policy_shards](std::uint64_t capacity)
-             -> std::unique_ptr<policy::ICache> {
-    return std::make_unique<ShardedCache>(capacity, policy_shards, inner);
-  };
-}
 
 /// One connection, owned exclusively by its worker: fd, incremental decode
 /// state, and the pending-reply write queue (a deque of chunks so flushes
@@ -133,8 +119,7 @@ KvsServer::KvsServer(ServerConfig config, const PolicyFactory& policy_factory,
                      const util::Clock& clock)
     : config_(std::move(config)),
       store_(with_compression(config_.store, config_.compression),
-             wrap_policy_factory(policy_factory, config_.policy_shards),
-             clock) {}
+             policy_factory, clock) {}
 
 KvsServer::~KvsServer() { stop(); }
 

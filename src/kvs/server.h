@@ -16,10 +16,10 @@
 // that connection's commands until the peer drains (backpressure), which
 // bounds per-connection server memory at the watermark plus one reply.
 //
-// Keys are hash-partitioned across the store's engine shards; with
-// `policy_shards > 1` each engine's eviction policy is additionally a
-// ShardedCache over that many physical queues (the paper's Section 4.1
-// "multiple physical queues per LRU queue" recipe).
+// Keys are hash-partitioned across the store's engine shards, and each
+// shard's mutex is the only lock a request takes on the policy path (the
+// paper's Section 4.1 recipe: hash-partitioned, independently locked
+// queues).
 //
 // stop() wakes every worker through its event loop and joins all threads.
 #pragma once
@@ -46,9 +46,6 @@ struct ServerConfig {
   std::uint16_t port = 0;  // 0 = pick an ephemeral port (see port())
   /// Worker pool size; 0 = one worker per hardware thread.
   std::size_t workers = 0;
-  /// Physical policy queues per engine shard (ShardedCache); 1 = the
-  /// policy factory's cache is used directly.
-  std::size_t policy_shards = 1;
   /// Per-connection pending-reply ceiling. Once a connection's unsent
   /// reply bytes exceed this, the worker stops decoding further commands
   /// from it until the peer drains below half the watermark — backpressure

@@ -250,9 +250,7 @@ std::optional<int> KvsStore::policy_precision() const {
   util::MutexLock lock(shard.mutex);
   auto* tunable = shard.engine->retunable_policy();
   if (tunable == nullptr) return std::nullopt;
-  const int precision = tunable->precision();
-  if (precision == 0) return std::nullopt;  // wrapper with no tunable inner
-  return precision;
+  return tunable->precision();
 }
 
 }  // namespace camp::kvs

@@ -1,7 +1,10 @@
 // KvsStore: the thread-safe front of the storage engine. Keys are hash
 // partitioned across N independent KvsEngine shards, each guarded by its
 // own mutex (the paper's Section 4.1 concurrency recipe applied at the
-// store level). The server and the in-process transport both talk to this.
+// store level). That shard mutex is the only concurrency layer on the
+// policy path: every eviction-policy call runs under it, so policies are
+// plain single-threaded ICaches. The server and the in-process transport
+// both talk to this.
 #pragma once
 
 #include <cstdint>

@@ -79,11 +79,8 @@ class ICache {
 };
 
 /// Implemented by policies whose rounding precision can be changed while
-/// resident pairs stay cached (CAMP's retune path, core/camp.h). Wrappers
-/// (ShardedCache, the self-tuning wrapper) forward opportunistically: their
-/// retune() returns false and precision() returns 0 when the underlying
-/// policy is not precision-tunable, so callers must treat precision() == 0
-/// as "not tunable", never as a real setting (real precisions are >= 1).
+/// resident pairs stay cached: CAMP's retune path (core/camp.h) and the
+/// self-tuning wrapper around it (core/auto_tuner.h).
 class IRetunable {
  public:
   virtual ~IRetunable() = default;
@@ -95,8 +92,7 @@ class IRetunable {
   virtual bool retune(int precision) = 0;
 
   /// The precision the policy is CURRENTLY running at (post-retune), not
-  /// the constructed one. 0 = not tunable (forwarding wrapper over a
-  /// non-CAMP policy).
+  /// the constructed one. Always >= 1.
   [[nodiscard]] virtual int precision() const = 0;
 
   /// Lifetime count of retune() calls that changed the precision.

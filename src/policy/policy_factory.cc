@@ -6,7 +6,6 @@
 
 #include "core/auto_tuner.h"
 #include "core/camp.h"
-#include "core/concurrent_camp.h"
 #include "policy/admission.h"
 #include "policy/arc.h"
 #include "policy/clock.h"
@@ -57,7 +56,6 @@ struct CampSpecParams {
   std::optional<int> precision;  // numeric p=
   bool auto_precision = false;   // p=auto
   std::optional<std::vector<int>> candidates;
-  std::optional<std::uint32_t> physical_queues;  // q=
 };
 
 CampSpecParams parse_camp_params(const std::string& spec,
@@ -88,13 +86,6 @@ CampSpecParams parse_camp_params(const std::string& spec,
       } else {
         out.precision = parse_precision(value, spec);
       }
-    } else if (key == "q" && family == "camp-mt") {
-      if (out.physical_queues.has_value()) {
-        throw spec_error(spec, "duplicate parameter 'q'");
-      }
-      const int q = parse_int(value, spec, "physical queue count");
-      if (q < 1) throw spec_error(spec, "physical queue count must be >= 1");
-      out.physical_queues = static_cast<std::uint32_t>(q);
     } else if (key == "candidates" && family == "camp") {
       if (out.candidates.has_value()) {
         throw spec_error(spec, "duplicate parameter 'candidates'");
@@ -154,17 +145,6 @@ std::unique_ptr<ICache> make_policy(const std::string& spec,
     config.frequency_aware = true;
     if (params.precision.has_value()) config.precision = *params.precision;
     return core::make_camp(config);
-  }
-  if (spec == "camp-mt" || spec.rfind("camp-mt:", 0) == 0) {
-    const CampSpecParams params =
-        parse_camp_params(spec, "camp-mt", camp_param_tail(spec, "camp-mt"));
-    core::ConcurrentCampConfig config;
-    config.capacity_bytes = capacity_bytes;
-    if (params.precision.has_value()) config.precision = *params.precision;
-    if (params.physical_queues.has_value()) {
-      config.physical_queues = *params.physical_queues;
-    }
-    return core::make_concurrent_camp(config);
   }
   if (spec == "camp" || spec.rfind("camp:", 0) == 0) {
     const CampSpecParams params =
@@ -240,10 +220,10 @@ std::function<std::unique_ptr<ICache>(std::uint64_t)> make_policy_factory(
 
 std::vector<std::string> known_policy_specs() {
   return {"lru",         "camp",        "camp:p=1",    "camp:p=auto",
-          "camp-f",      "camp-mt",     "gds",         "gds:lru",
-          "gdsf",        "greedy-dual", "arc",         "2q",
-          "lru-2",       "gd-wheel",    "clock",       "sampled-lru",
-          "sampled-gds", "admit+camp"};
+          "camp-f",      "gds",         "gds:lru",     "gdsf",
+          "greedy-dual", "arc",         "2q",          "lru-2",
+          "gd-wheel",    "clock",       "sampled-lru", "sampled-gds",
+          "admit+camp"};
 }
 
 }  // namespace camp::policy

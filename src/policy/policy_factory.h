@@ -14,10 +14,6 @@
 //                      starting at the first listed candidate
 //   "camp-f"           frequency-aware CAMP (GDSF scoring, CAMP machinery)
 //   "camp-f:p=<n>"     frequency-aware CAMP with precision n
-//   "camp-mt"          thread-safe CAMP (Section 4.1 design), precision 5
-//   "camp-mt:p=<n>"    thread-safe CAMP with precision n
-//   "camp-mt:q=<n>"    thread-safe CAMP with n physical sub-queues per ratio
-//                      (p and q parameters combine in any order)
 //   "gds"              Greedy Dual Size, arbitrary tie-break
 //   "gds:lru"          Greedy Dual Size with LRU tie-break
 //   "gdsf"             Greedy-Dual-Size-Frequency (Squid's GDS variant)
@@ -57,9 +53,9 @@ namespace camp::policy {
 /// A reusable capacity -> cache factory for `spec`. For most specs this is
 /// just a make_policy binding, but for the self-tuning "camp:p=auto..."
 /// spec every cache the SAME returned factory builds shares ONE duel state
-/// (core::SharedAutoTuner): a sharded wrapper calling it once per shard
-/// gets shards that register their capacities with, feed, and are migrated
-/// by a single tuner, so the psel trace is independent of the shard count.
+/// (core::SharedAutoTuner): KvsStore calling it once per engine shard gets
+/// shards that register their capacities with, feed, and are migrated by a
+/// single tuner, so the psel trace is independent of the shard count.
 /// (Calling make_policy per shard instead would duel each shard's
 /// partitioned sample stream separately.)
 [[nodiscard]] std::function<std::unique_ptr<ICache>(std::uint64_t)>

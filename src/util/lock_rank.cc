@@ -34,7 +34,7 @@ thread_local HeldStack held;
 void acquired(LockRank rank) noexcept {
   if (held.size > 0) {
     const LockRank top = held.ranks[held.size - 1];
-    if (rank < top || (rank == top && !rank_allows_self_nesting(rank))) {
+    if (rank <= top) {
       die("rank inversion", rank, top);
     }
   }

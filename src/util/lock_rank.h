@@ -1,7 +1,7 @@
 // Debug-build runtime lock-rank checker: the dynamic twin of the Clang
-// Thread Safety Annotations (util/thread_annotations.h). Every util::Mutex /
-// util::SharedMutex carries a LockRank; a thread may only acquire a lock
-// whose rank is STRICTLY greater than every rank it already holds, so a
+// Thread Safety Annotations (util/thread_annotations.h). Every util::Mutex
+// carries a LockRank; a thread may only acquire a lock whose rank is
+// STRICTLY greater than every rank it already holds, so a
 // rank inversion — the seed of every lock-order deadlock — aborts the
 // process at the first wrong acquisition on ANY schedule, instead of
 // deadlocking only when two threads interleave just so.
@@ -9,13 +9,13 @@
 // The rank values encode the repository's documented hierarchy (see README
 // "Static analysis & sanitizers"); the canonical deep chain is
 //
-//   store shard -> policy shard -> camp structure -> camp index stripe
-//     -> camp queue -> camp heap -> camp listener/stats -> cluster leaf
+//   store shard -> auto-tuner -> cluster leaf
 //
-// i.e. an engine eviction fires under its store shard lock, walks down
-// through the policy's internal locks, and may finish in the cluster's
-// strict-leaf metadata mutex. Peer-link locks sit between the camp plane
-// and the cluster leaf but are in practice taken with nothing held.
+// i.e. an engine operation runs its eviction policy, which has no lock of
+// its own, under its store shard lock, may feed the shared precision
+// tuner, and may finish in the cluster's strict-leaf metadata mutex. Peer-link
+// locks sit between the tuner and the cluster leaf but are in practice
+// taken with nothing held.
 //
 // Release builds (NDEBUG) compile the checker out completely: the
 // push/pop helpers become empty inlines and util::Mutex does not even
@@ -34,37 +34,16 @@ enum class LockRank : int {
   /// lock; ranked lowest so holding it forbids nothing by accident.
   kServerWorker = 100,
 
-  /// KvsStore::Shard::mutex — the engine shard critical section. The whole
-  /// policy plane and the cluster hooks run under it.
+  /// KvsStore::Shard::mutex — the engine shard critical section, and the
+  /// only lock on the policy path: every eviction-policy call and the
+  /// cluster hooks run under it.
   kStoreShard = 200,
 
-  /// ShardedCache::Shard::mutex — physical policy queues. Self-nesting is
-  /// allowed (rank_allows_self_nesting): policy_shards may wrap an inner
-  /// factory that is itself a ShardedCache, and composition fixes the
-  /// outer->inner acquisition order, so equal-rank nesting cannot invert.
-  kPolicyShard = 300,
-
   /// core::SharedAutoTuner::mutex_ — the shadow-cache duel state of the
-  /// precision auto-tuner. Fed under a store shard (200) or policy shard
-  /// (300) lock; never held while taking any camp-internal lock (shards
-  /// apply migrations lazily, under their own locks, after the tuner call
-  /// returned), so it slots strictly between the shard planes and the camp
-  /// plane.
+  /// precision auto-tuner. Fed under a store shard lock (200); never held
+  /// while taking a shard lock (shards apply migrations lazily, under
+  /// their own locks, after the tuner call returned).
   kAutoTuner = 350,
-
-  /// ConcurrentCampCache::structure_ — the readers-writer lock separating
-  /// the shared hit plane from the exclusive mutation plane.
-  kCampStructure = 400,
-  /// ConcurrentCampCache::IndexStripe::mutex.
-  kCampIndexStripe = 410,
-  /// ConcurrentCampCache::Queue::mutex (never two at once; strictly below
-  /// the heap lock, which the hit path takes after it).
-  kCampQueue = 420,
-  /// ConcurrentCampCache::heap_mutex_.
-  kCampHeap = 430,
-  /// ConcurrentCampCache::listener_mutex_ (taken under the exclusive
-  /// structure lock by the eviction path).
-  kCampListener = 440,
 
   /// CoopCluster::links_mutex_ — guards the peer-link map, not the links.
   kClusterLinks = 600,
@@ -77,11 +56,6 @@ enum class LockRank : int {
   /// under it.
   kClusterLeaf = 900,
 };
-
-/// Equal-rank nesting whitelist (see kPolicyShard).
-[[nodiscard]] constexpr bool rank_allows_self_nesting(LockRank rank) noexcept {
-  return rank == LockRank::kPolicyShard;
-}
 
 namespace lock_rank {
 

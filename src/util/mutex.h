@@ -1,27 +1,26 @@
-// Annotated, rank-carrying mutex wrappers: the repository's ONLY mutex
-// types on the locking surface (tools/check_lock_order enforces this for
+// Annotated, rank-carrying mutex wrapper: the repository's ONLY mutex
+// type on the locking surface (tools/check_lock_order enforces this for
 // src/core, src/kvs and src/coop).
 //
-// Each wrapper fuses the two lock-discipline checkers so they cannot drift
+// The wrapper fuses the two lock-discipline checkers so they cannot drift
 // apart:
-//   * static  — the types carry Clang Thread Safety CAPABILITY attributes
-//     and the scoped lockers carry SCOPED_CAPABILITY, so `-Werror=
-//     thread-safety` proves at compile time that every CAMP_GUARDED_BY
-//     field is touched under its mutex and every CAMP_REQUIRES helper is
-//     called with the lock held;
+//   * static  — Mutex carries the Clang Thread Safety CAPABILITY attribute
+//     and MutexLock carries SCOPED_CAPABILITY, so `-Werror=thread-safety`
+//     proves at compile time that every CAMP_GUARDED_BY field is touched
+//     under its mutex and every CAMP_REQUIRES helper is called with the
+//     lock held;
 //   * dynamic — every mutex is constructed with a util::LockRank, and
 //     debug builds push/pop that rank on a per-thread stack, aborting on
 //     the first out-of-hierarchy acquisition (util/lock_rank.h). Release
-//     builds compile the rank bookkeeping out entirely; the wrappers are
-//     then layout-identical to the std types they wrap.
+//     builds compile the rank bookkeeping out entirely; the wrapper is
+//     then layout-identical to the std::mutex it wraps.
 //
-// Locking idiom: prefer the scoped lockers (MutexLock / ReaderLock /
-// WriterLock) over calling lock()/unlock() directly — the analysis models
-// scopes precisely, and an early return can never leak a hold.
+// Locking idiom: prefer the scoped MutexLock over calling lock()/unlock()
+// directly — the analysis models scopes precisely, and an early return can
+// never leak a hold.
 #pragma once
 
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/lock_rank.h"
 #include "util/thread_annotations.h"
@@ -65,52 +64,6 @@ class CAMP_CAPABILITY("mutex") Mutex {
 #endif
 };
 
-/// Readers-writer mutex with a fixed rank. Shared and exclusive holds push
-/// the same rank: the hierarchy constrains WHICH locks nest, not the mode.
-class CAMP_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank) noexcept
-#if !defined(NDEBUG)
-      : rank_(rank)
-#endif
-  {
-    (void)rank;
-  }
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() CAMP_ACQUIRE() {
-    lock_rank::acquired(rank());
-    m_.lock();
-  }
-  void unlock() CAMP_RELEASE() {
-    m_.unlock();
-    lock_rank::released(rank());
-  }
-  void lock_shared() CAMP_ACQUIRE_SHARED() {
-    lock_rank::acquired(rank());
-    m_.lock_shared();
-  }
-  void unlock_shared() CAMP_RELEASE_SHARED() {
-    m_.unlock_shared();
-    lock_rank::released(rank());
-  }
-
- private:
-  [[nodiscard]] LockRank rank() const noexcept {
-#if !defined(NDEBUG)
-    return rank_;
-#else
-    return LockRank::kServerWorker;  // unused: the checker is compiled out
-#endif
-  }
-
-  std::shared_mutex m_;
-#if !defined(NDEBUG)
-  LockRank rank_;
-#endif
-};
-
 /// Scoped exclusive lock on a Mutex (lock_guard replacement).
 class CAMP_SCOPED_CAPABILITY MutexLock {
  public:
@@ -121,34 +74,6 @@ class CAMP_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& m_;
-};
-
-/// Scoped exclusive lock on a SharedMutex (unique_lock replacement).
-class CAMP_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& m) CAMP_ACQUIRE(m) : m_(m) { m_.lock(); }
-  ~WriterLock() CAMP_RELEASE() { m_.unlock(); }
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& m_;
-};
-
-/// Scoped shared lock on a SharedMutex (shared_lock replacement).
-class CAMP_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& m) CAMP_ACQUIRE_SHARED(m) : m_(m) {
-    m_.lock_shared();
-  }
-  // Generic RELEASE: a scoped capability's destructor releases whatever
-  // mode its constructor acquired (the canonical Clang pattern).
-  ~ReaderLock() CAMP_RELEASE() { m_.unlock_shared(); }
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& m_;
 };
 
 }  // namespace camp::util

@@ -4,7 +4,6 @@
 // converts cost-to-size ratios into integers before rounding (paper Sec. 2).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 
@@ -81,48 +80,6 @@ class AdaptiveRatioScaler {
 
  private:
   std::uint64_t max_size_ = 1;
-};
-
-/// Thread-safe AdaptiveRatioScaler for the concurrent CAMP variant
-/// (core/concurrent_camp.h). The multiplier is a monotone atomic max;
-/// concurrent readers may briefly see the previous multiplier, which is the
-/// same "only future roundings use the new value" semantics the paper
-/// specifies for the serial algorithm.
-class AtomicRatioScaler {
- public:
-  AtomicRatioScaler() = default;
-
-  bool observe_size(std::uint64_t size) noexcept {
-    std::uint64_t current = max_size_.load(std::memory_order_relaxed);
-    while (size > current) {
-      if (max_size_.compare_exchange_weak(current, size,
-                                          std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::uint64_t scale(std::uint64_t cost,
-                                    std::uint64_t size) const noexcept {
-    const std::uint64_t num =
-        cost * max_size_.load(std::memory_order_relaxed);
-    const std::uint64_t scaled = (num + size / 2) / size;
-    return scaled == 0 ? 1 : scaled;
-  }
-
-  [[nodiscard]] std::uint64_t scale_and_round(std::uint64_t cost,
-                                              std::uint64_t size,
-                                              int precision) const noexcept {
-    return msy_round(scale(cost, size), precision);
-  }
-
-  [[nodiscard]] std::uint64_t max_size() const noexcept {
-    return max_size_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> max_size_{1};
 };
 
 }  // namespace camp::util

@@ -5,16 +5,13 @@
 // instead of a TSan flake that needs the right interleaving to fire.
 //
 // Conventions in this repository (see README "Static analysis & sanitizers"):
-//   * every mutex member is a util::Mutex / util::SharedMutex (util/mutex.h),
-//     which carry the CAPABILITY attribute and a LockRank (util/lock_rank.h)
-//     so the static annotations and the debug runtime rank checker share one
-//     source of truth;
+//   * every mutex member is a util::Mutex (util/mutex.h), which carries the
+//     CAPABILITY attribute and a LockRank (util/lock_rank.h) so the static
+//     annotations and the debug runtime rank checker share one source of
+//     truth;
 //   * fields with a single guarding mutex carry CAMP_GUARDED_BY;
 //   * helpers named `*_locked` / `*_exclusive` carry CAMP_REQUIRES (tools/
-//     check_lock_order greps that this stays true);
-//   * dual-plane fields (guarded by one mutex on the fast path and by an
-//     exclusive super-lock on the slow path) that the analysis cannot
-//     express are documented at the declaration instead of annotated.
+//     check_lock_order greps that this stays true).
 #pragma once
 
 #if defined(__clang__) && defined(__has_attribute)
@@ -40,17 +37,9 @@
 #define CAMP_ACQUIRE(...) \
   CAMP_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
 
-/// Function acquires the capability shared.
-#define CAMP_ACQUIRE_SHARED(...) \
-  CAMP_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
-
-/// Function releases the capability (exclusive or shared).
+/// Function releases the capability.
 #define CAMP_RELEASE(...) \
   CAMP_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-
-/// Function releases a shared hold of the capability.
-#define CAMP_RELEASE_SHARED(...) \
-  CAMP_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 
 /// Function acquires exclusively iff it returns the given value.
 #define CAMP_TRY_ACQUIRE(...) \
@@ -59,10 +48,6 @@
 /// Caller must hold the capability exclusively (the `*_locked` contract).
 #define CAMP_REQUIRES(...) \
   CAMP_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-
-/// Caller must hold the capability at least shared.
-#define CAMP_REQUIRES_SHARED(...) \
-  CAMP_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 
 /// Caller must NOT hold the capability (the function takes it itself).
 #define CAMP_EXCLUDES(...) CAMP_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))

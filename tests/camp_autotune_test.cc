@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "core/camp.h"
-#include "kvs/sharded_cache.h"
 #include "kvs/store.h"
 #include "policy/policy_factory.h"
 #include "trace/workloads.h"
 #include "util/clock.h"
+#include "util/rng.h"
 #include "util/rounding.h"
 
 namespace camp::core {
@@ -255,13 +255,19 @@ struct DuelLedger {
   int precision = 0;
 };
 
-// Drives `records` through a ShardedCache built from the "camp:p=auto"
-// shared-tuner factory with `shards` policy shards, using the simulator
-// protocol (get; on miss, put), and returns the duel's ledger.
+// Drives `records` through `shards` caches built by ONE "camp:p=auto"
+// shared-tuner factory, routing each key by hash (the way KvsStore
+// partitions its engines), using the simulator protocol (get; on miss,
+// put), and returns the duel's ledger. KvsStore itself is not used here:
+// there a get miss followed by a set would feed the tuner twice.
 DuelLedger run_sharded_duel(const std::vector<trace::TraceRecord>& records,
                             std::size_t shards) {
   const auto factory = policy::make_policy_factory("camp:p=auto");
-  kvs::ShardedCache cache(8u << 20, shards, factory);
+  constexpr std::uint64_t kCapacity = 8u << 20;
+  std::vector<std::unique_ptr<policy::ICache>> caches;
+  for (std::size_t i = 0; i < shards; ++i) {
+    caches.push_back(factory(kCapacity / shards));
+  }
   // A 1-byte probe shard gives the test a handle on the shared tuner; it
   // must be built before traffic starts (register_capacity would throw
   // later), and its byte vanishes in the >> sample_shift shadow scaling.
@@ -270,6 +276,7 @@ DuelLedger run_sharded_duel(const std::vector<trace::TraceRecord>& records,
   EXPECT_NE(self, nullptr);
 
   for (const trace::TraceRecord& r : records) {
+    policy::ICache& cache = *caches[util::mix64(r.key) % shards];
     if (!cache.get(r.key)) {
       cache.put(r.key, r.size, r.cost);
     }

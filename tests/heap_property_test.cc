@@ -1,6 +1,6 @@
-// Randomized differential tests: DaryHeap (several arities) and PairingHeap
-// against a reference multiset-based priority queue, exercising push / pop /
-// update / erase interleavings.
+// Randomized differential tests: DaryHeap (several arities) against a
+// reference multiset-based priority queue, exercising push / pop / update /
+// erase interleavings.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "heap/dary_heap.h"
-#include "heap/pairing_heap.h"
 #include "util/rng.h"
 
 namespace camp::heap {
@@ -116,35 +115,6 @@ class DaryAdapter {
   DaryHeap<std::uint64_t, std::less<>, Arity> heap_;
 };
 
-class PairingAdapter {
- public:
-  using Handle = PairingHeap<std::uint64_t>::Handle;
-  Handle push(std::uint64_t v) {
-    auto h = heap_.push(v);
-    live_.insert(h);
-    return h;
-  }
-  void update(Handle h, std::uint64_t v) { heap_.update(h, v); }
-  void erase(Handle h) {
-    live_.erase(h);
-    heap_.erase(h);
-  }
-  void pop() {
-    live_.erase(heap_.top_handle());
-    heap_.pop();
-  }
-  [[nodiscard]] std::uint64_t top() const { return heap_.top(); }
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] bool is_valid_handle(Handle h) const {
-    return live_.contains(h);
-  }
-
- private:
-  PairingHeap<std::uint64_t> heap_;
-  std::set<Handle> live_;
-};
-
 class HeapDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HeapDifferential, Dary2) {
@@ -158,9 +128,6 @@ TEST_P(HeapDifferential, Dary8) {
 }
 TEST_P(HeapDifferential, Dary16) {
   run_differential<DaryAdapter<16>>(GetParam(), 3000);
-}
-TEST_P(HeapDifferential, Pairing) {
-  run_differential<PairingAdapter>(GetParam(), 3000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HeapDifferential,

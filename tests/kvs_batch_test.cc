@@ -222,7 +222,6 @@ class BatchTcpTest : public ::testing::Test {
   void SetUp() override {
     ServerConfig config;
     config.workers = 2;
-    config.policy_shards = 2;
     config.store = small_store();
     server_ = std::make_unique<KvsServer>(config, lru_factory(), clock_);
     server_->start();
@@ -446,8 +445,7 @@ TEST_F(BatchTcpTest, WorkerPoolReportedInStats) {
   const auto stats = client.stats();
   EXPECT_EQ(stats.at("workers"), "2");
   EXPECT_EQ(stats.at("store_shards"), "2");
-  // policy_shards = 2 wraps each engine's LRU in a ShardedCache.
-  EXPECT_EQ(stats.at("policy"), "sharded(2xlru)");
+  EXPECT_EQ(stats.at("policy"), "lru");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -306,9 +307,10 @@ std::atomic<int> g_usr1_count{0};
 void on_usr1(int) { g_usr1_count.fetch_add(1, std::memory_order_relaxed); }
 
 /// Big-value roundtrips under a SIGUSR1 storm with SA_RESTART disabled:
-/// every blocking syscall in client and server is eligible to fail with
-/// EINTR. The old code treated that as a fatal error ("connection closed" /
-/// dropped connection); with retry_eintr every roundtrip must survive.
+/// every blocking syscall in client and server, the client's connect
+/// included, is eligible to fail with EINTR. The old code treated that as
+/// a fatal error ("connection closed" / dropped connection / "connect
+/// failed: Interrupted system call"); every roundtrip must survive.
 TEST(SignalStormTest, RoundtripsSurviveEintr) {
   struct sigaction sa {};
   sa.sa_handler = &on_usr1;
@@ -321,10 +323,12 @@ TEST(SignalStormTest, RoundtripsSurviveEintr) {
   KvsServer server(server_config(), lru_factory(), clock);
   server.start();
 
-  std::atomic<bool> stop{false};
   const pthread_t target = ::pthread_self();
-  std::thread storm([&] {
-    while (!stop.load()) {
+  // A jthread stops and joins the storm on every exit path, so a failed
+  // ASSERT or a throwing client reports its message instead of
+  // std::terminate firing on a still-joinable thread.
+  std::jthread storm([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
       // Alternate between this (client) thread and the whole process, so
       // the server's worker threads catch interrupts too.
       (void)::pthread_kill(target, SIGUSR1);
@@ -343,7 +347,7 @@ TEST(SignalStormTest, RoundtripsSurviveEintr) {
     }
   }
 
-  stop.store(true);
+  storm.request_stop();
   storm.join();
   ASSERT_EQ(::sigaction(SIGUSR1, &old, nullptr), 0);
   EXPECT_GT(g_usr1_count.load(), 0) << "storm never actually delivered";

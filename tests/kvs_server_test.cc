@@ -15,7 +15,6 @@
 
 #include "core/auto_tuner.h"
 #include "core/camp.h"
-#include "core/concurrent_camp.h"
 #include "kvs/client.h"
 #include "policy/lru.h"
 
@@ -265,27 +264,27 @@ TEST(ServerLifecycle, StatsExposeAutotuneCounters) {
   server.stop();
 }
 
-TEST(ServerLifecycle, ConcurrentCampPolicyEndToEnd) {
-  // The Section 4.1 thread-safe engine behind the real TCP server: many
-  // client connections (one server thread each) hammer one shard, so the
-  // engine's internal locking is exercised end-to-end.
+TEST(ServerLifecycle, CampPolicyOneShardEndToEnd) {
+  // CAMP behind the real TCP server with every connection funnelled into
+  // one store shard: the shard mutex is the only lock around the policy,
+  // so concurrent clients exercise exactly that serialization end to end.
   util::SteadyClock clock;
   ServerConfig config = server_config();
   config.store.shards = 1;  // all connections share one engine instance
   KvsServer server(
       config,
       [](std::uint64_t cap) {
-        core::ConcurrentCampConfig c;
+        core::CampConfig c;
         c.capacity_bytes = cap;
         c.precision = 5;
-        return core::make_concurrent_camp(c);
+        return core::make_camp(c);
       },
       clock);
   server.start();
   {
     KvsClient seed("127.0.0.1", server.port());
     EXPECT_TRUE(seed.set("expensive", "data", 0, 10'000));
-    EXPECT_EQ(seed.stats().at("policy"), "camp-mt(p=5)");
+    EXPECT_EQ(seed.stats().at("policy"), "camp(p=5)");
   }
   std::vector<std::thread> clients;
   std::atomic<int> failures{0};

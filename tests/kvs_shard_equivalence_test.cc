@@ -1,15 +1,9 @@
 // Differential property test for hash partitioning: the SAME random
-// batched op stream (fixed seeds) executed against 1, 4 and 7 shards must
-// produce identical per-key results and identical aggregate hit/miss
-// totals — sharding is a concurrency layout, never a semantic change.
-//
-// Two layers are pinned:
-//   * policy level: ShardedCache{1,4,7} vs the raw LruCache it wraps, with
-//     capacity comfortably above the working set (eviction order across
-//     shard splits is legitimately different, so the equivalence is about
-//     routing, not victim choice);
-//   * store level: KvsStore (slab-backed engines) at 1/4/7 shards driven
-//     through the batched InprocClient transport.
+// batched op stream (fixed seeds) executed against a KvsStore (slab-backed
+// engines) at 1, 4 and 7 shards, driven through the batched InprocClient
+// transport, must produce identical per-key results and identical
+// aggregate hit/miss totals — sharding is a concurrency layout, never a
+// semantic change.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,7 +13,6 @@
 
 #include "kvs/api.h"
 #include "kvs/inproc.h"
-#include "kvs/sharded_cache.h"
 #include "kvs/store.h"
 #include "policy/lru.h"
 #include "util/clock.h"
@@ -27,102 +20,6 @@
 
 namespace camp {
 namespace {
-
-// ---- policy level ---------------------------------------------------------
-
-struct PolicyOp {
-  enum class Kind { kGet, kPut, kErase, kContains } kind;
-  policy::Key key;
-  std::uint64_t size = 0;
-  std::uint64_t cost = 0;
-};
-
-std::vector<PolicyOp> random_policy_ops(std::uint64_t seed, std::size_t n) {
-  util::Xoshiro256 rng(seed);
-  std::vector<PolicyOp> ops;
-  ops.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    PolicyOp op;
-    const std::uint64_t roll = rng.below(10);
-    op.key = rng.below(600);
-    if (roll < 5) {
-      op.kind = PolicyOp::Kind::kGet;
-    } else if (roll < 8) {
-      op.kind = PolicyOp::Kind::kPut;
-      op.size = 64 + rng.below(2048);
-      op.cost = 1 + rng.below(10'000);
-    } else if (roll < 9) {
-      op.kind = PolicyOp::Kind::kErase;
-    } else {
-      op.kind = PolicyOp::Kind::kContains;
-    }
-    ops.push_back(op);
-  }
-  return ops;
-}
-
-/// Replay `ops` and record every boolean outcome in order.
-std::vector<bool> replay_policy_ops(policy::ICache& cache,
-                                    const std::vector<PolicyOp>& ops) {
-  std::vector<bool> outcomes;
-  outcomes.reserve(ops.size());
-  for (const PolicyOp& op : ops) {
-    switch (op.kind) {
-      case PolicyOp::Kind::kGet:
-        outcomes.push_back(cache.get(op.key));
-        break;
-      case PolicyOp::Kind::kPut:
-        outcomes.push_back(cache.put(op.key, op.size, op.cost));
-        break;
-      case PolicyOp::Kind::kErase:
-        cache.erase(op.key);
-        outcomes.push_back(true);
-        break;
-      case PolicyOp::Kind::kContains:
-        outcomes.push_back(cache.contains(op.key));
-        break;
-    }
-  }
-  return outcomes;
-}
-
-kvs::ShardedCache::ShardFactory lru_shard_factory() {
-  return [](std::uint64_t cap) {
-    return std::make_unique<policy::LruCache>(cap);
-  };
-}
-
-TEST(KvsShardEquivalenceTest, ShardedCacheMatchesSingleLruUnderAllSplits) {
-  // 600 keys x <= 2 KiB: far below 64 MiB, so no shard ever evicts and the
-  // op outcomes are purely a function of routing correctness.
-  constexpr std::uint64_t kCapacity = 64u << 20;
-  for (const std::uint64_t seed : {1u, 7u, 42u}) {
-    const auto ops = random_policy_ops(seed, 20'000);
-
-    policy::LruCache reference(kCapacity);
-    const auto want = replay_policy_ops(reference, ops);
-
-    for (const std::size_t shards : {1u, 4u, 7u}) {
-      kvs::ShardedCache cache(kCapacity, shards, lru_shard_factory());
-      const auto got = replay_policy_ops(cache, ops);
-      EXPECT_EQ(want, got) << "seed=" << seed << " shards=" << shards;
-
-      const policy::CacheStats reference_stats = reference.stats();
-      const policy::CacheStats stats = cache.stats_snapshot();
-      EXPECT_EQ(stats.gets, reference_stats.gets) << "shards=" << shards;
-      EXPECT_EQ(stats.hits, reference_stats.hits) << "shards=" << shards;
-      EXPECT_EQ(stats.misses, reference_stats.misses)
-          << "shards=" << shards;
-      EXPECT_EQ(stats.evictions, 0u) << "shards=" << shards;
-      EXPECT_EQ(cache.item_count(), reference.item_count())
-          << "shards=" << shards;
-      EXPECT_EQ(cache.used_bytes(), reference.used_bytes())
-          << "shards=" << shards;
-    }
-  }
-}
-
-// ---- store level ----------------------------------------------------------
 
 kvs::KvsBatch random_batch(util::Xoshiro256& rng, std::size_t ops) {
   kvs::KvsBatch batch;

@@ -156,10 +156,9 @@ TEST_P(PolicyConformance, HotKeyStaysUnderChurn) {
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyConformance,
     ::testing::Values("lru", "camp", "camp:p=1", "camp:p=64", "camp-f",
-                      "camp-f:p=1", "camp-mt", "camp-mt:q=4", "gds",
-                      "gds:lru", "gdsf", "greedy-dual", "arc", "2q", "lru-2",
-                      "lru-3", "gd-wheel", "clock", "sampled-lru",
-                      "sampled-gds", "admit+camp", "admit+lru",
+                      "camp-f:p=1", "gds", "gds:lru", "gdsf", "greedy-dual",
+                      "arc", "2q", "lru-2", "lru-3", "gd-wheel", "clock",
+                      "sampled-lru", "sampled-gds", "admit+camp", "admit+lru",
                       "admit+gdsf"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;

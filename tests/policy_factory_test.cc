@@ -77,11 +77,8 @@ TEST(Factory, CampSpecRejectsMalformedParameters) {
   expect_rejected("camp:p=5:p=7", "duplicate parameter 'p'");
   expect_rejected("camp:p=auto:p=5", "duplicate parameter 'p'");
   expect_rejected("camp:p=5:junk", "malformed parameter");
-  expect_rejected("camp:q=4", "unknown parameter 'q'");  // camp-mt only
-  expect_rejected("camp-mt:p=0", "precision must be >= 1");
-  expect_rejected("camp-mt:q=0", "must be >= 1");
-  expect_rejected("camp-mt:q=4:q=8", "duplicate parameter 'q'");
-  expect_rejected("camp-mt:p=auto", "only supported by 'camp'");
+  expect_rejected("camp:q=4", "unknown parameter 'q'");
+  expect_rejected("camp-f:p=0", "precision must be >= 1");
   expect_rejected("camp-f:p=auto", "only supported by 'camp'");
   expect_rejected("camp-f:candidates=1,2", "unknown parameter");
   expect_rejected("camp:candidates=1,2", "requires p=auto");
@@ -117,11 +114,6 @@ TEST(Factory, CampAutoFactorySharesOneTunerAcrossShards) {
   // Static specs go through plain make_policy: distinct instances.
   const auto static_factory = make_policy_factory("camp:p=5");
   EXPECT_EQ(static_factory(1024)->name(), "camp(p=5)");
-}
-
-TEST(Factory, CampMtQueueParsing) {
-  EXPECT_EQ(make_policy("camp-mt:p=3:q=2", 1000)->name(), "camp-mt(p=3,q=2)");
-  EXPECT_EQ(make_policy("camp-mt:q=1", 1000)->name(), "camp-mt(p=5)");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The runtime half of the lock-discipline story (util/lock_rank.h): debug
-// builds rank-check every util::Mutex/SharedMutex acquisition on a
+// builds rank-check every util::Mutex acquisition on a
 // per-thread stack and abort on the first hierarchy violation; release
 // builds compile the checker out entirely. Both branches are tested — this
 // file compiles to the matching half under either build type.
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 #include "util/mutex.h"
@@ -23,47 +22,24 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(LockRankTest, AscendingChainPasses) {
-  // The canonical deepest chain in the repository: a store shard's eviction
-  // hook descending through a sharded CAMP policy into the cluster's leaf
-  // mutex (see util/lock_rank.h for the hierarchy).
+  // Every rank in the repository, ascending: a worker's handoff lock, a
+  // store shard (the only lock on the policy path), the shared precision
+  // tuner fed under it, and the cluster's peer-link and leaf mutexes (see
+  // util/lock_rank.h for the hierarchy).
   Mutex worker(LockRank::kServerWorker);
   Mutex store_shard(LockRank::kStoreShard);
-  Mutex policy_shard(LockRank::kPolicyShard);
-  SharedMutex structure(LockRank::kCampStructure);
-  Mutex stripe(LockRank::kCampIndexStripe);
-  Mutex queue(LockRank::kCampQueue);
-  Mutex heap(LockRank::kCampHeap);
-  Mutex listener(LockRank::kCampListener);
+  Mutex tuner(LockRank::kAutoTuner);
+  Mutex links(LockRank::kClusterLinks);
+  Mutex peer_link(LockRank::kClusterPeerLink);
   Mutex leaf(LockRank::kClusterLeaf);
 
   MutexLock l0(worker);
   MutexLock l1(store_shard);
-  MutexLock l2(policy_shard);
-  WriterLock l3(structure);
-  MutexLock l4(stripe);
-  MutexLock l5(queue);
-  MutexLock l6(heap);
-  MutexLock l7(listener);
-  MutexLock l8(leaf);
-  EXPECT_EQ(lock_rank::held_count(), 9u);
-}
-
-TEST(LockRankTest, SharedModeRanksLikeExclusive) {
-  SharedMutex structure(LockRank::kCampStructure);
-  Mutex queue(LockRank::kCampQueue);
-  ReaderLock shared(structure);
-  MutexLock inner(queue);  // shared holds constrain nesting the same way
-  EXPECT_EQ(lock_rank::held_count(), 2u);
-}
-
-TEST(LockRankTest, PolicyShardMaySelfNest) {
-  // Nested ShardedCaches are real: policy_shards wraps a sharded inner
-  // factory, and the outer shard lock is held across inner-shard calls.
-  Mutex outer(LockRank::kPolicyShard);
-  Mutex inner(LockRank::kPolicyShard);
-  MutexLock l1(outer);
-  MutexLock l2(inner);
-  EXPECT_EQ(lock_rank::held_count(), 2u);
+  MutexLock l2(tuner);
+  MutexLock l3(links);
+  MutexLock l4(peer_link);
+  MutexLock l5(leaf);
+  EXPECT_EQ(lock_rank::held_count(), 6u);
 }
 
 TEST(LockRankTest, OutOfOrderReleaseIsTolerated) {
@@ -105,7 +81,7 @@ TEST(LockRankDeathTest, InversionDies) {
       "rank inversion");
 }
 
-TEST(LockRankDeathTest, EqualRankDiesWithoutSelfNestingAllowance) {
+TEST(LockRankDeathTest, EqualRankDies) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Mutex a(LockRank::kStoreShard);
   Mutex b(LockRank::kStoreShard);
@@ -117,21 +93,9 @@ TEST(LockRankDeathTest, EqualRankDiesWithoutSelfNestingAllowance) {
       "rank inversion");
 }
 
-TEST(LockRankDeathTest, SharedAcquisitionChecksToo) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  Mutex leaf(LockRank::kClusterLeaf);
-  SharedMutex structure(LockRank::kCampStructure);
-  EXPECT_DEATH(
-      {
-        MutexLock outer(leaf);
-        ReaderLock inner(structure);  // shared mode is no escape hatch
-      },
-      "rank inversion");
-}
-
 TEST(LockRankDeathTest, ReleasingUnheldRankDies) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(lock_rank::released(LockRank::kCampHeap), "not held");
+  EXPECT_DEATH(lock_rank::released(LockRank::kAutoTuner), "not held");
 }
 
 #else  // defined(NDEBUG)
@@ -141,10 +105,9 @@ TEST(LockRankDeathTest, ReleasingUnheldRankDies) {
 // ---------------------------------------------------------------------------
 
 TEST(LockRankTest, CheckerCompiledOutInRelease) {
-  // The wrappers carry no rank bookkeeping: layout-identical to the std
-  // types they wrap.
+  // The wrapper carries no rank bookkeeping: layout-identical to the
+  // std::mutex it wraps.
   static_assert(sizeof(Mutex) == sizeof(std::mutex));
-  static_assert(sizeof(SharedMutex) == sizeof(std::shared_mutex));
 
   // An inversion that would abort a debug build runs silently.
   Mutex leaf(LockRank::kClusterLeaf);
