@@ -1,13 +1,12 @@
-// Runs every eviction policy in the library over the same BG-like trace
-// (skewed access, {1,100,10K} costs) and prints a comparison table —
-// a compact reproduction of the paper's Section 3 story plus the
-// related-work policies (ARC, 2Q, LRU-K, GD-Wheel, Greedy Dual).
+// Runs every policy spec the factory knows (CAMP, self-tuning CAMP, LRU and
+// GDS) over the same BG-like trace (skewed access, {1,100,10K} costs) and
+// prints a comparison table — a compact reproduction of the paper's
+// Section 3 story.
 //
 //   build/examples/policy_comparison [cache_ratio]
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "policy/policy_factory.h"
 #include "sim/simulator.h"
@@ -32,12 +31,7 @@ int main(int argc, char** argv) {
   std::printf("%-14s %12s %16s %12s\n", "policy", "miss-rate",
               "cost-miss-ratio", "evictions");
 
-  const std::vector<std::string> specs{
-      "lru",         "camp",        "camp:p=1",   "camp:p=64",
-      "camp-f",      "gds",         "gdsf",       "greedy-dual",
-      "arc",         "2q",          "lru-2",      "gd-wheel",
-      "clock",       "sampled-lru", "sampled-gds", "admit+camp"};
-  for (const std::string& spec : specs) {
+  for (const std::string& spec : camp::policy::known_policy_specs()) {
     auto cache = camp::policy::make_policy(spec, capacity);
     camp::sim::Simulator simulator(*cache);
     simulator.run(records);

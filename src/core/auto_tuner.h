@@ -10,7 +10,7 @@
 //     the request stream (~1/64 at the default). Sampling is a pure
 //     function of (key, salt) — independent of sharding, threading and
 //     wall-clock — so the same trace always produces the same duel.
-//   * Every candidate precision runs a tiny scaled-capacity BasicCampCache
+//   * Every candidate precision runs a tiny scaled-capacity CampCache
 //     ("shadow") fed only the sampled stream: the same keys-to-bytes ratio
 //     as the live cache, at 1/2^sample_shift of its footprint.
 //   * Every `window_samples` sampled accesses (op-count-driven, NEVER

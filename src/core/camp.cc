@@ -17,9 +17,4 @@ std::unique_ptr<policy::ICache> make_camp(CampConfig config) {
   return std::make_unique<CampCache>(config);
 }
 
-template class BasicCampCache<2>;
-template class BasicCampCache<4>;
-template class BasicCampCache<8>;
-template class BasicCampCache<16>;
-
 }  // namespace camp::core

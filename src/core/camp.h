@@ -45,25 +45,12 @@ struct CampConfig {
   /// simulation sweeps 1..10 and uses 5 for the headline figures;
   /// util::kPrecisionInfinity disables rounding (GDS-equivalent decisions).
   int precision = 5;
-  /// Recompute the rounded ratio with the current scaling multiplier on
-  /// every hit (paper: the adaptively-grown multiplier "is used for all
-  /// future rounding"). Disabling freezes a pair's queue assignment at
-  /// insert time; kept as an ablation knob.
-  bool recompute_ratio_on_hit = true;
-  /// CAMP-F extension (not in the paper): fold a per-pair hit counter into
-  /// the ratio, GDSF-style — H = L + round(freq * cost / size). A hit then
-  /// usually migrates the pair to a higher queue, but the multi-queue/
-  /// head-heap machinery is unchanged and the rounding still bounds the
-  /// queue count. At precision infinity, decisions are exactly those of
-  /// GDSF with LRU tie-breaks (tests/camp_frequency_test.cc). Implies
-  /// ratio recomputation on hits. Frequency is capped at 2^16, as in Squid.
-  bool frequency_aware = false;
 
   void validate() const;  // throws std::invalid_argument on nonsense
 };
 
-/// Aggregate introspection counters, exposed for tests and the Figure 4/5b
-/// benches.
+/// Aggregate introspection counters, exposed for tests, the Figure 4/5b
+/// figures and perfbench.
 struct CampIntrospection {
   std::size_t nonempty_queues = 0;       // current LRU queue count
   std::uint64_t queues_created = 0;      // lifetime
@@ -75,13 +62,12 @@ struct CampIntrospection {
   heap::HeapStats heap;                  // head-heap instrumentation
 };
 
-template <int HeapArity = 8>
-class BasicCampCache final : public policy::CacheBase,
-                             public policy::IRetunable {
+class CampCache final : public policy::CacheBase,
+                        public policy::IRetunable {
  public:
   using Key = policy::Key;
 
-  explicit BasicCampCache(CampConfig config)
+  explicit CampCache(CampConfig config)
       : policy::CacheBase(config.capacity_bytes), config_(config) {
     config_.validate();
   }
@@ -115,7 +101,6 @@ class BasicCampCache final : public policy::CacheBase,
     e.key = key;
     e.size = size;
     e.cost = cost;
-    e.freq = 1;
     e.ratio = ratio;
     e.h = inflation_ + ratio;
     e.seq = ++seq_;
@@ -142,11 +127,8 @@ class BasicCampCache final : public policy::CacheBase,
   }
 
   [[nodiscard]] std::string name() const override {
-    const std::string base = config_.frequency_aware ? "camp-f" : "camp";
-    if (precision() >= util::kPrecisionInfinity) {
-      return base + "(p=inf)";
-    }
-    return base + "(p=" + std::to_string(precision()) + ")";
+    if (precision() >= util::kPrecisionInfinity) return "camp(p=inf)";
+    return "camp(p=" + std::to_string(precision()) + ")";
   }
 
   /// Evict the current victim on demand (KVS engine slab pressure).
@@ -169,7 +151,7 @@ class BasicCampCache final : public policy::CacheBase,
   bool retune(int new_precision) override {
     if (new_precision < 1) {
       throw std::invalid_argument(
-          "BasicCampCache::retune: precision must be >= 1");
+          "CampCache::retune: precision must be >= 1");
     }
     if (new_precision == config_.precision) return false;
     config_.precision = new_precision;
@@ -206,12 +188,6 @@ class BasicCampCache final : public policy::CacheBase,
   [[nodiscard]] std::uint64_t ratio_of(Key key) const {
     const auto it = index_.find(key);
     return it == index_.end() ? 0 : it->second.ratio;
-  }
-
-  /// Hit count of a resident key (0 if absent; meaningful for CAMP-F).
-  [[nodiscard]] std::uint32_t frequency_of(Key key) const {
-    const auto it = index_.find(key);
-    return it == index_.end() ? 0 : it->second.freq;
   }
 
   /// Size / cost of a resident key (0 if absent). The auto-tuner's wrapper
@@ -290,7 +266,6 @@ class BasicCampCache final : public policy::CacheBase,
     std::uint64_t ratio = 0;  // rounded scaled cost-to-size ratio (queue id)
     std::uint64_t h = 0;      // priority = L at last touch + ratio
     std::uint64_t seq = 0;    // global access sequence, for LRU tie-breaks
-    std::uint32_t freq = 1;   // hit count; only used when frequency_aware
     Queue* queue = nullptr;
     intrusive::ListHook hook;
   };
@@ -312,14 +287,7 @@ class BasicCampCache final : public policy::CacheBase,
       return a.seq < b.seq;  // LRU tie-break across queues
     }
   };
-  using HeadHeap = heap::DaryHeap<HeadKey, HeadKeyLess, HeapArity>;
-
-  static constexpr std::uint32_t kMaxFrequency = 1u << 16;
-
-  /// The cost fed into the ratio: plain cost, or freq-weighted for CAMP-F.
-  [[nodiscard]] std::uint64_t effective_cost(const Entry& e) const noexcept {
-    return config_.frequency_aware ? e.cost * e.freq : e.cost;
-  }
+  using HeadHeap = heap::DaryHeap<HeadKey, HeadKeyLess, 8>;
 
   [[nodiscard]] std::uint64_t rounded_ratio(std::uint64_t cost,
                                             std::uint64_t size) {
@@ -346,7 +314,7 @@ class BasicCampCache final : public policy::CacheBase,
     head_heap_.clear();
     for (Entry* e : entries) {
       e->queue = nullptr;
-      e->ratio = rounded_ratio(effective_cost(*e), e->size);
+      e->ratio = rounded_ratio(e->cost, e->size);
       e->h = inflation_ + e->ratio;
       append(*e, e->ratio);
     }
@@ -394,11 +362,9 @@ class BasicCampCache final : public policy::CacheBase,
   void touch(Entry& e) {
     Queue& q = *e.queue;
     const bool sole = (q.list.size() == 1);
-    if (config_.frequency_aware && e.freq < kMaxFrequency) ++e.freq;
-    const std::uint64_t new_ratio =
-        (config_.recompute_ratio_on_hit || config_.frequency_aware)
-            ? rounded_ratio(effective_cost(e), e.size)
-            : e.ratio;
+    // The ratio is re-rounded with the current scaling multiplier (paper:
+    // the adaptively-grown multiplier "is used for all future rounding").
+    const std::uint64_t new_ratio = rounded_ratio(e.cost, e.size);
     if (sole && new_ratio == e.ratio &&
         head_heap_.top_handle() != q.handle) {
       // Fast path: p is alone in a queue that is not the global minimum.
@@ -445,15 +411,7 @@ class BasicCampCache final : public policy::CacheBase,
   CampIntrospection intro_;      // lifetime counters (queues, max ratio)
 };
 
-/// The paper's configuration: 8-ary implicit head heap.
-using CampCache = BasicCampCache<8>;
-
 /// Factory used by the sweep driver and the policy registry.
 [[nodiscard]] std::unique_ptr<policy::ICache> make_camp(CampConfig config);
-
-extern template class BasicCampCache<2>;
-extern template class BasicCampCache<4>;
-extern template class BasicCampCache<8>;
-extern template class BasicCampCache<16>;
 
 }  // namespace camp::core

@@ -1,6 +1,4 @@
-// Cache factories for the figure series, shared by the FigureSpec registry
-// and the bench adapters (formerly copy-pasted across bench_common.h and
-// the bench binaries).
+// Cache factories for the figure series of the FigureSpec registry.
 #pragma once
 
 #include <string>

@@ -1,14 +1,9 @@
 // FigureSpec: one paper figure as a first-class, enumerable, deterministic
 // computation.
 //
-// A spec exposes its points (series name x x-axis value) up front, so both
-// drivers share one source of truth:
-//
-//   * FigureRunner (figure_runner.h) runs every point and emits the
-//     figure's rows for the CSV/JSON pipeline and the committed baselines;
-//   * the bench adapters (bench/bench_figure_adapter.h) register one
-//     google-benchmark case per point and report the same metrics as
-//     counters.
+// A spec exposes its points (series name x x-axis value) up front;
+// FigureRunner (figure_runner.h) runs every point and emits the figure's
+// rows for the CSV/JSON pipeline and the committed baselines.
 //
 // All figure computations are deterministic functions of FigureOptions
 // (scale, seed). Wall-clock throughput metrics are only produced when
@@ -29,7 +24,7 @@ namespace camp::figures {
 struct FigureOptions {
   Scale scale = Scale::smoke();
   /// Base seed; per-workload seeds are derived via seed_for(). The default
-  /// reproduces the benches' historical traces.
+  /// reproduces the committed baselines' traces.
   std::uint64_t seed = kCanonicalSeed;
   /// Include wall-clock throughput metrics (ops_per_sec). These are NOT
   /// deterministic; the baseline diff applies a banded tolerance to them.

@@ -1,7 +1,6 @@
 #include "figures/traces.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -40,12 +39,6 @@ Scale Scale::tiny() {
   s.kvs_keys = 200;
   s.kvs_requests = 2'000;
   return s;
-}
-
-Scale Scale::from_env() {
-  const char* env = std::getenv("CAMP_PAPER_SCALE");
-  const bool paper = env != nullptr && env[0] == '1';
-  return paper ? Scale::paper() : Scale::smoke();
 }
 
 const char* trace_kind_name(TraceKind kind) {

@@ -29,9 +29,6 @@ struct Scale {
   [[nodiscard]] static Scale smoke();
   [[nodiscard]] static Scale paper();
   [[nodiscard]] static Scale tiny();
-  /// `paper` when CAMP_PAPER_SCALE=1 is set, else `smoke` — the benches'
-  /// historical contract, kept in one place.
-  [[nodiscard]] static Scale from_env();
 };
 
 /// The workload families used by the paper's figures.
@@ -45,12 +42,12 @@ enum class TraceKind {
 
 [[nodiscard]] const char* trace_kind_name(TraceKind kind);
 
-/// Canonical base seed for the paper figures (bench and pipeline share it).
+/// Canonical base seed for the paper figures.
 inline constexpr std::uint64_t kCanonicalSeed = 2014;
 
 /// Per-kind seed derivation: each workload family draws from a distinct
 /// seed so figures never alias each other's randomness. With the canonical
-/// base this reproduces the benches' historical seeds (2014..2017).
+/// base this gives the committed baselines' seeds (2014..2017).
 [[nodiscard]] std::uint64_t seed_for(TraceKind kind, std::uint64_t base_seed);
 
 struct TraceBundle {
@@ -70,7 +67,7 @@ struct TraceBundle {
 /// Memoised variant: same arguments return the same shared bundle. Safe to
 /// call from multiple threads. The returned reference stays valid until
 /// trim_shared_traces() evicts the bundle — callers hold it only while no
-/// trim can run (one figure point / one bench case).
+/// trim can run (one figure point).
 [[nodiscard]] const TraceBundle& shared_trace(TraceKind kind,
                                               const Scale& scale,
                                               std::uint64_t seed);

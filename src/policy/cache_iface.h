@@ -2,7 +2,8 @@
 //
 // The simulator, the sweep driver, the KVS engine and the examples all talk
 // to caches through ICache; concrete engines (CampCache, GdsCache, ...) are
-// also usable directly where static dispatch matters (microbenches).
+// also usable directly where static dispatch matters (the figures'
+// introspection counters, perfbench's policy layer).
 //
 // Terminology follows the paper: a cache stores key-value *metadata*
 // (size in bytes, integer cost >= 1); the value payload itself lives in the

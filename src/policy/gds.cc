@@ -6,19 +6,10 @@ namespace camp::policy {
 
 GdsCache::GdsCache(GdsConfig config)
     : CacheBase(config.capacity_bytes),
-      config_(config),
       heap_(ItemKeyLess{config.lru_tie_break}) {
   if (config.capacity_bytes == 0) {
     throw std::invalid_argument("GdsConfig: capacity_bytes must be > 0");
   }
-  if (config.precision < 1) {
-    throw std::invalid_argument("GdsConfig: precision must be >= 1");
-  }
-}
-
-std::uint64_t GdsCache::rounded_ratio(std::uint64_t cost,
-                                      std::uint64_t size) const {
-  return scaler_.scale_and_round(cost, size, config_.precision);
 }
 
 bool GdsCache::get(Key key) {
@@ -37,7 +28,7 @@ bool GdsCache::get(Key key) {
   if (!heap_.empty() && heap_.top().h > inflation_) {
     inflation_ = heap_.top().h;
   }
-  e.h = inflation_ + rounded_ratio(e.cost, e.size);
+  e.h = inflation_ + scaler_.scale(e.cost, e.size);
   e.handle = heap_.push(ItemKey{e.h, ++seq_, key});
   return true;
 }
@@ -50,7 +41,7 @@ bool GdsCache::put(Key key, std::uint64_t size, std::uint64_t cost) {
   }
   erase(key);
   scaler_.observe_size(size);
-  const std::uint64_t ratio = rounded_ratio(cost, size);
+  const std::uint64_t ratio = scaler_.scale(cost, size);
   while (used_ + size > capacity_) evict_one();
   auto [it, inserted] = index_.try_emplace(key);
   assert(inserted);
@@ -76,10 +67,7 @@ void GdsCache::erase(Key key) {
 
 std::size_t GdsCache::item_count() const { return index_.size(); }
 
-std::string GdsCache::name() const {
-  if (config_.precision >= util::kPrecisionInfinity) return "gds";
-  return "gds(p=" + std::to_string(config_.precision) + ")";
-}
+std::string GdsCache::name() const { return "gds"; }
 
 std::optional<Key> GdsCache::peek_victim() const {
   if (heap_.empty()) return std::nullopt;

@@ -5,9 +5,7 @@
 //
 // Priorities use the same adaptive integer scaling as CAMP so that the two
 // are directly comparable (the paper's "infinity precision" simulation runs
-// GDS on integer-scaled ratios). An optional MSY rounding precision turns
-// this into "GDS with rounded ratios but an exact per-item heap", used by
-// the rounding ablation.
+// GDS on integer-scaled, unrounded ratios).
 #pragma once
 
 #include <cstdint>
@@ -24,11 +22,8 @@ namespace camp::policy {
 
 struct GdsConfig {
   std::uint64_t capacity_bytes = 0;
-  /// MSY rounding precision applied to the scaled ratio;
-  /// util::kPrecisionInfinity (default) = standard GDS.
-  int precision = util::kPrecisionInfinity;
   /// Break priority ties by recency (LRU) instead of arbitrarily. The
-  /// CAMP-equivalence property requires this; benches keep the paper's
+  /// CAMP-equivalence property requires this; the figures keep the paper's
   /// arbitrary tie-break by default.
   bool lru_tie_break = false;
 };
@@ -51,7 +46,6 @@ class GdsCache final : public CacheBase {
   [[nodiscard]] const heap::HeapStats& heap_stats() const {
     return heap_.stats();
   }
-  [[nodiscard]] const GdsConfig& config() const noexcept { return config_; }
 
  private:
   struct Entry {
@@ -77,10 +71,6 @@ class GdsCache final : public CacheBase {
   // Binary heap: the conventional choice Figure 4's GDS curve represents.
   using ItemHeap = heap::DaryHeap<ItemKey, ItemKeyLess, 2>;
 
-  [[nodiscard]] std::uint64_t rounded_ratio(std::uint64_t cost,
-                                            std::uint64_t size) const;
-
-  GdsConfig config_;
   util::AdaptiveRatioScaler scaler_;
   std::unordered_map<Key, Entry> index_;
   ItemHeap heap_;

@@ -6,17 +6,8 @@
 
 #include "core/auto_tuner.h"
 #include "core/camp.h"
-#include "policy/admission.h"
-#include "policy/arc.h"
-#include "policy/clock.h"
-#include "policy/gd_wheel.h"
 #include "policy/gds.h"
-#include "policy/gdsf.h"
-#include "policy/greedy_dual.h"
 #include "policy/lru.h"
-#include "policy/lru_k.h"
-#include "policy/sampled_lru.h"
-#include "policy/two_q.h"
 
 namespace camp::policy {
 
@@ -28,22 +19,16 @@ namespace {
                                "'");
 }
 
-/// Strict integer parse: empty input, non-numeric characters and trailing
-/// garbage all throw (naming the offending token), never fall back.
-int parse_int(std::string_view text, const std::string& spec,
-              const char* what) {
-  int value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    throw spec_error(spec, std::string("bad ") + what + " '" +
-                               std::string(text) + "'");
-  }
-  return value;
-}
-
+/// Strict precision parse: empty input, non-numeric characters, trailing
+/// garbage and values below 1 all throw (naming the offending token), never
+/// fall back.
 int parse_precision(std::string_view text, const std::string& spec) {
-  const int p = parse_int(text, spec, "precision");
+  int p = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), p);
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    throw spec_error(spec, "bad precision '" + std::string(text) + "'");
+  }
   if (p < 1) {
     throw spec_error(spec, "precision must be >= 1 (got '" +
                                std::string(text) + "')");
@@ -51,7 +36,7 @@ int parse_precision(std::string_view text, const std::string& spec) {
   return p;
 }
 
-/// Parsed ':'-separated key=value parameters of the camp family specs.
+/// Parsed ':'-separated key=value parameters of a "camp:..." spec.
 struct CampSpecParams {
   std::optional<int> precision;  // numeric p=
   bool auto_precision = false;   // p=auto
@@ -59,7 +44,6 @@ struct CampSpecParams {
 };
 
 CampSpecParams parse_camp_params(const std::string& spec,
-                                 std::string_view family,
                                  std::string_view rest) {
   CampSpecParams out;
   while (!rest.empty()) {
@@ -79,14 +63,11 @@ CampSpecParams parse_camp_params(const std::string& spec,
         throw spec_error(spec, "duplicate parameter 'p'");
       }
       if (value == "auto") {
-        if (family != "camp") {
-          throw spec_error(spec, "p=auto is only supported by 'camp'");
-        }
         out.auto_precision = true;
       } else {
         out.precision = parse_precision(value, spec);
       }
-    } else if (key == "candidates" && family == "camp") {
+    } else if (key == "candidates") {
       if (out.candidates.has_value()) {
         throw spec_error(spec, "duplicate parameter 'candidates'");
       }
@@ -101,7 +82,7 @@ CampSpecParams parse_camp_params(const std::string& spec,
       out.candidates = std::move(list);
     } else {
       throw spec_error(spec, "unknown parameter '" + std::string(key) +
-                                 "' for '" + std::string(family) + "'");
+                                 "' for 'camp'");
     }
   }
   if (out.candidates.has_value() && !out.auto_precision) {
@@ -110,12 +91,10 @@ CampSpecParams parse_camp_params(const std::string& spec,
   return out;
 }
 
-/// The parameter tail after "<family>:", or empty for a bare family name.
-[[nodiscard]] std::string_view camp_param_tail(const std::string& spec,
-                                               std::string_view family) {
-  return spec.size() == family.size()
-             ? std::string_view{}
-             : std::string_view(spec).substr(family.size() + 1);
+/// The parameter tail after "camp:", or empty for a bare "camp".
+[[nodiscard]] std::string_view camp_param_tail(const std::string& spec) {
+  return spec == "camp" ? std::string_view{}
+                        : std::string_view(spec).substr(5);
 }
 
 [[nodiscard]] core::AutoTunerConfig auto_tuner_config(
@@ -132,23 +111,10 @@ CampSpecParams parse_camp_params(const std::string& spec,
 
 std::unique_ptr<ICache> make_policy(const std::string& spec,
                                     std::uint64_t capacity_bytes) {
-  if (spec.rfind("admit+", 0) == 0) {
-    return std::make_unique<AdmissionFilter>(
-        make_policy(spec.substr(6), capacity_bytes), AdmissionConfig{});
-  }
   if (spec == "lru") return std::make_unique<LruCache>(capacity_bytes);
-  if (spec == "camp-f" || spec.rfind("camp-f:", 0) == 0) {
-    const CampSpecParams params =
-        parse_camp_params(spec, "camp-f", camp_param_tail(spec, "camp-f"));
-    core::CampConfig config;
-    config.capacity_bytes = capacity_bytes;
-    config.frequency_aware = true;
-    if (params.precision.has_value()) config.precision = *params.precision;
-    return core::make_camp(config);
-  }
   if (spec == "camp" || spec.rfind("camp:", 0) == 0) {
     const CampSpecParams params =
-        parse_camp_params(spec, "camp", camp_param_tail(spec, "camp"));
+        parse_camp_params(spec, camp_param_tail(spec));
     if (params.auto_precision) {
       core::CampConfig config;
       config.capacity_bytes = capacity_bytes;
@@ -160,38 +126,10 @@ std::unique_ptr<ICache> make_policy(const std::string& spec,
     return core::make_camp(config);
   }
   if (spec == "gds") {
-    return make_gds(GdsConfig{capacity_bytes, util::kPrecisionInfinity, false});
+    return make_gds(GdsConfig{capacity_bytes, false});
   }
   if (spec == "gds:lru") {
-    return make_gds(GdsConfig{capacity_bytes, util::kPrecisionInfinity, true});
-  }
-  if (spec == "gdsf") {
-    GdsfConfig config;
-    config.capacity_bytes = capacity_bytes;
-    return make_gdsf(config);
-  }
-  if (spec == "greedy-dual") {
-    return std::make_unique<GreedyDualCache>(capacity_bytes);
-  }
-  if (spec == "arc") return std::make_unique<ArcCache>(capacity_bytes);
-  if (spec == "2q") {
-    return std::make_unique<TwoQCache>(TwoQConfig{capacity_bytes, 0.25, 0.5});
-  }
-  if (spec.rfind("lru-", 0) == 0) {
-    const int k = parse_int(std::string_view(spec).substr(4), spec, "K");
-    return std::make_unique<LruKCache>(capacity_bytes, k);
-  }
-  if (spec == "clock") return std::make_unique<ClockCache>(capacity_bytes);
-  if (spec == "sampled-lru" || spec == "sampled-gds") {
-    SampledLruConfig config;
-    config.capacity_bytes = capacity_bytes;
-    config.cost_aware = (spec == "sampled-gds");
-    return std::make_unique<SampledLruCache>(config);
-  }
-  if (spec == "gd-wheel") {
-    GdWheelConfig config;
-    config.capacity_bytes = capacity_bytes;
-    return std::make_unique<GdWheelCache>(config);
+    return make_gds(GdsConfig{capacity_bytes, true});
   }
   throw std::invalid_argument("make_policy: unknown spec '" + spec + "'");
 }
@@ -200,7 +138,7 @@ std::function<std::unique_ptr<ICache>(std::uint64_t)> make_policy_factory(
     const std::string& spec) {
   if (spec == "camp" || spec.rfind("camp:", 0) == 0) {
     const CampSpecParams params =
-        parse_camp_params(spec, "camp", camp_param_tail(spec, "camp"));
+        parse_camp_params(spec, camp_param_tail(spec));
     if (params.auto_precision) {
       core::AutoTunerConfig tuner_config = auto_tuner_config(params);
       const int initial = tuner_config.initial_precision;
@@ -219,11 +157,7 @@ std::function<std::unique_ptr<ICache>(std::uint64_t)> make_policy_factory(
 }
 
 std::vector<std::string> known_policy_specs() {
-  return {"lru",         "camp",        "camp:p=1",    "camp:p=auto",
-          "camp-f",      "gds",         "gds:lru",     "gdsf",
-          "greedy-dual", "arc",         "2q",          "lru-2",
-          "gd-wheel",    "clock",       "sampled-lru", "sampled-gds",
-          "admit+camp"};
+  return {"lru", "camp", "camp:p=1", "camp:p=auto", "gds", "gds:lru"};
 }
 
 }  // namespace camp::policy

@@ -12,27 +12,19 @@
 //   "camp:p=auto:candidates=<n>,<n>,..."
 //                      self-tuning CAMP over an explicit candidate set,
 //                      starting at the first listed candidate
-//   "camp-f"           frequency-aware CAMP (GDSF scoring, CAMP machinery)
-//   "camp-f:p=<n>"     frequency-aware CAMP with precision n
 //   "gds"              Greedy Dual Size, arbitrary tie-break
 //   "gds:lru"          Greedy Dual Size with LRU tie-break
-//   "gdsf"             Greedy-Dual-Size-Frequency (Squid's GDS variant)
-//   "greedy-dual"      Young's Greedy Dual (cost-only priorities)
-//   "arc"              ARC
-//   "2q"               2Q with default fractions
-//   "lru-<k>"          LRU-K, e.g. "lru-2"
-//   "gd-wheel"         GD-Wheel with default wheel geometry
-//   "clock"            CLOCK / second-chance
-//   "sampled-lru"      Redis-style sampled LRU (5 samples)
-//   "sampled-gds"      sampled cost-aware eviction (idle * size / cost)
-//   "admit+<spec>"     admission filter wrapped around any of the above
 //
-// Malformed camp-family parameters (p=0, non-numeric, trailing garbage,
+// Any other spec throws std::invalid_argument("... unknown spec ..."), so a
+// stale name on a command line or in a config fails closed.
+//
+// Malformed camp parameters (p=0, non-numeric, trailing garbage,
 // unknown key= tokens, duplicates) throw std::invalid_argument with a
 // message naming the offending token — never a silent fallback.
 //
 // Pooled LRU is intentionally absent: its pool plan requires offline trace
-// knowledge (see trace::TraceProfiler), so benches construct it directly.
+// knowledge (see trace::TraceProfiler), so the figures construct it directly
+// (figures/factories.h).
 #pragma once
 
 #include <cstdint>

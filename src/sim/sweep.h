@@ -1,4 +1,4 @@
-// Parameter-sweep driver shared by the figure benches: runs one policy per
+// Parameter-sweep driver shared by the figures: runs one policy per
 // (cache-size-ratio, policy-factory) combination over a fixed trace and
 // collects the paper's metrics.
 #pragma once

@@ -31,7 +31,6 @@ TEST_P(CampGdsEquivalence, IdenticalDecisionsAtInfinitePrecision) {
 
   policy::GdsConfig gds_config;
   gds_config.capacity_bytes = 10'000;
-  gds_config.precision = util::kPrecisionInfinity;
   gds_config.lru_tie_break = true;
   policy::GdsCache gds_cache(gds_config);
 

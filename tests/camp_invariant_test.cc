@@ -1,5 +1,5 @@
 // Property tests: structural invariants of the CAMP data structures under
-// randomized workloads, across precisions, arities and workload shapes.
+// randomized workloads, across precisions and seeds.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -9,13 +9,6 @@
 
 namespace camp::core {
 namespace {
-
-struct WorkloadShape {
-  std::uint64_t key_space;
-  std::uint64_t max_size;
-  std::uint64_t max_cost;
-  const char* label;
-};
 
 class CampInvariants
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
@@ -51,57 +44,6 @@ INSTANTIATE_TEST_SUITE_P(
     PrecisionSeeds, CampInvariants,
     ::testing::Combine(::testing::Values(1, 2, 5, 10, util::kPrecisionInfinity),
                        ::testing::Values<std::uint64_t>(1, 7, 42)));
-
-template <int Arity>
-void run_arity_invariants(std::uint64_t seed) {
-  CampConfig config;
-  config.capacity_bytes = 4000;
-  config.precision = 5;
-  BasicCampCache<Arity> cache(config);
-  util::Xoshiro256 rng(seed);
-  for (int i = 0; i < 2000; ++i) {
-    const policy::Key k = rng.below(80);
-    if (!cache.get(k)) cache.put(k, 1 + rng.below(300), 1 + rng.below(9999));
-    if (i % 128 == 0) {
-      ASSERT_TRUE(cache.check_invariants()) << "op " << i;
-    }
-  }
-  ASSERT_TRUE(cache.check_invariants());
-}
-
-TEST(CampArity, TwoAry) { run_arity_invariants<2>(3); }
-TEST(CampArity, FourAry) { run_arity_invariants<4>(3); }
-TEST(CampArity, EightAry) { run_arity_invariants<8>(3); }
-TEST(CampArity, SixteenAry) { run_arity_invariants<16>(3); }
-
-TEST(CampArity, AllAritiesMakeIdenticalDecisions) {
-  // Heap arity is a performance knob; evictions must not depend on it.
-  CampConfig config;
-  config.capacity_bytes = 3000;
-  config.precision = 4;
-  BasicCampCache<2> c2(config);
-  BasicCampCache<8> c8(config);
-  BasicCampCache<16> c16(config);
-  util::Xoshiro256 rng(17);
-  for (int i = 0; i < 5000; ++i) {
-    const policy::Key k = rng.below(60);
-    const std::uint64_t size = 1 + rng.below(400);
-    const std::uint64_t cost = 1 + rng.below(10'000);
-    const bool h2 = c2.get(k);
-    const bool h8 = c8.get(k);
-    const bool h16 = c16.get(k);
-    ASSERT_EQ(h2, h8) << "op " << i;
-    ASSERT_EQ(h8, h16) << "op " << i;
-    if (!h2) {
-      c2.put(k, size, cost);
-      c8.put(k, size, cost);
-      c16.put(k, size, cost);
-    }
-  }
-  EXPECT_EQ(c2.item_count(), c8.item_count());
-  EXPECT_EQ(c2.used_bytes(), c8.used_bytes());
-  EXPECT_EQ(c8.stats().evictions, c16.stats().evictions);
-}
 
 TEST(CampBound, QueueCountWithinPropositionTwo) {
   // Number of non-empty queues <= (ceil(log2(U+1)) - p + 1) * 2^p where U
@@ -150,28 +92,18 @@ TEST(CampBound, LowerPrecisionNeverMoreQueues) {
   }
 }
 
-TEST(Camp, RecomputeRatioOnHitKnob) {
-  // With the knob off, a pair's queue is frozen at insert time even after
-  // the scaling multiplier grows.
-  CampConfig frozen;
-  frozen.capacity_bytes = 1 << 20;
-  frozen.precision = util::kPrecisionInfinity;
-  frozen.recompute_ratio_on_hit = false;
-  CampCache cache(frozen);
+TEST(Camp, HitRecomputesRatioWithGrownMultiplier) {
+  // The adaptively grown scaling multiplier is used for all future rounding,
+  // including the re-rounding a hit does.
+  CampConfig config;
+  config.capacity_bytes = 1 << 20;
+  config.precision = util::kPrecisionInfinity;
+  CampCache cache(config);
   cache.put(1, 100, 10);  // multiplier 100 -> ratio 10
   const auto r_before = cache.ratio_of(1);
   cache.put(2, 10'000, 10);  // multiplier grows to 10'000
   ASSERT_TRUE(cache.get(1));
-  EXPECT_EQ(cache.ratio_of(1), r_before);
-
-  CampConfig live = frozen;
-  live.recompute_ratio_on_hit = true;
-  CampCache cache2(live);
-  cache2.put(1, 100, 10);
-  const auto r2_before = cache2.ratio_of(1);
-  cache2.put(2, 10'000, 10);
-  ASSERT_TRUE(cache2.get(1));
-  EXPECT_GT(cache2.ratio_of(1), r2_before)
+  EXPECT_GT(cache.ratio_of(1), r_before)
       << "recomputed ratio uses the grown multiplier";
 }
 

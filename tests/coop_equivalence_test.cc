@@ -86,7 +86,7 @@ TEST_P(CoopSingleNodeEquivalence, MatchesPlainCache) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, CoopSingleNodeEquivalence,
-                         ::testing::Values("lru", "camp", "gds:lru", "gdsf"),
+                         ::testing::Values("lru", "camp", "gds:lru"),
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            std::string name = i.param;
                            for (char& c : name) {

@@ -7,8 +7,7 @@
 // Options:
 //   --figure <all|id[,id...]>  which figures to run (default all)
 //   --out <dir>                output directory (created if missing)
-//   --scale <smoke|paper|tiny> request volume (default: smoke, or paper
-//                              when CAMP_PAPER_SCALE=1 is set)
+//   --scale <smoke|paper|tiny> request volume (default smoke)
 //   --seed <n>                 base seed (default 2014, the paper runs)
 //   --format <csv|json|both>   emitted formats (default csv)
 //   --timing                   also measure wall-clock throughput metrics
@@ -78,8 +77,7 @@ Args parse_args(int argc, char** argv) {
 }
 
 figures::Scale scale_for(const std::string& name) {
-  if (name.empty()) return figures::Scale::from_env();
-  if (name == "smoke") return figures::Scale::smoke();
+  if (name.empty() || name == "smoke") return figures::Scale::smoke();
   if (name == "paper") return figures::Scale::paper();
   if (name == "tiny") return figures::Scale::tiny();
   throw std::invalid_argument("unknown scale '" + name +
