@@ -17,6 +17,16 @@
 //   * A hit that does not change a queue head costs O(1); the heap is
 //     touched only when a head changes or a queue appears/disappears.
 //
+// Storage is allocation-free once the cache has reached its high-water
+// resident and queue counts: pairs and queues live in stable-address chunk
+// pools (util::ChunkPool) and are found through one open-addressing index
+// type (util::FlatTable: power-of-two, multiplicative hash, no division on
+// any probe) — key -> pair, and rounded ratio -> queue, for every precision.
+// A hit divides only when the scaler's max size has grown since the pair
+// was last rounded: each pair stamps the max size its queue's ratio was
+// rounded with, and a hit whose stamp is current reuses that ratio. A hit
+// that stays in a queue with other members moves to the tail in place.
+//
 // With precision = util::kPrecisionInfinity the rounded ratio equals the
 // scaled ratio and CAMP's decisions are exactly those of GDS with LRU
 // tie-breaking (tests/camp_gds_equivalence_test.cc asserts this).
@@ -29,12 +39,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "heap/dary_heap.h"
 #include "intrusive/list.h"
 #include "policy/cache_iface.h"
+#include "util/flat_table.h"
 #include "util/rounding.h"
 
 namespace camp::core {
@@ -75,13 +85,13 @@ class CampCache final : public policy::CacheBase,
   // -- ICache ---------------------------------------------------------------
   bool get(Key key) override {
     ++stats_.gets;
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
+    Entry* e = index_.find(key);
+    if (e == nullptr) {
       ++stats_.misses;
       return false;
     }
     ++stats_.hits;
-    touch(it->second);
+    touch(*e);
     return true;
   }
 
@@ -91,35 +101,43 @@ class CampCache final : public policy::CacheBase,
       ++stats_.rejected_puts;
       return false;
     }
-    erase(key);  // overwrite semantics: drop any stale pair first
+    // Overwrite semantics: a stale pair leaves its queue and its charge
+    // but keeps its index slot, so the key stays indexed (and cannot be a
+    // victim) while the loop below evicts.
+    Entry* e = index_.find(key);
+    if (e != nullptr) {
+      detach(*e);
+      used_ -= e->size;
+    }
     scaler_.observe_size(size);
     const std::uint64_t ratio = rounded_ratio(cost, size);
     while (used_ + size > capacity_) evict_victim();
-    auto [it, inserted] = index_.try_emplace(key);
-    assert(inserted);
-    Entry& e = it->second;
-    e.key = key;
-    e.size = size;
-    e.cost = cost;
-    e.ratio = ratio;
-    e.h = inflation_ + ratio;
-    e.seq = ++seq_;
-    append(e, ratio);
+    if (e == nullptr) {
+      e = entry_pool_.acquire();
+      e->key = key;
+      index_.insert(key, e);
+    }
+    e->size = size;
+    e->cost = cost;
+    e->stamp = scaler_.max_size();
+    e->h = inflation_ + ratio;
+    e->seq = ++seq_;
+    append(*e, ratio);
     used_ += size;
     return true;
   }
 
   [[nodiscard]] bool contains(Key key) const override {
-    return index_.contains(key);
+    return index_.find(key) != nullptr;
   }
 
   void erase(Key key) override {
-    const auto it = index_.find(key);
-    if (it == index_.end()) return;
-    Entry& e = it->second;
-    detach(e);
-    used_ -= e.size;
-    index_.erase(it);
+    Entry* e = index_.find(key);
+    if (e == nullptr) return;
+    detach(*e);
+    used_ -= e->size;
+    index_.erase(key);
+    entry_pool_.release(e);
   }
 
   [[nodiscard]] std::size_t item_count() const override {
@@ -180,26 +198,26 @@ class CampCache final : public policy::CacheBase,
 
   /// Current H value of a resident key (0 if absent).
   [[nodiscard]] std::uint64_t priority_of(Key key) const {
-    const auto it = index_.find(key);
-    return it == index_.end() ? 0 : it->second.h;
+    const Entry* e = index_.find(key);
+    return e == nullptr ? 0 : e->h;
   }
 
   /// Current rounded ratio (queue id) of a resident key (0 if absent).
   [[nodiscard]] std::uint64_t ratio_of(Key key) const {
-    const auto it = index_.find(key);
-    return it == index_.end() ? 0 : it->second.ratio;
+    const Entry* e = index_.find(key);
+    return e == nullptr || e->queue == nullptr ? 0 : e->queue->ratio;
   }
 
   /// Size / cost of a resident key (0 if absent). The auto-tuner's wrapper
   /// (core/auto_tuner.h) mirrors live hits into the shadow stream with
   /// these, since ICache::get carries no metadata.
   [[nodiscard]] std::uint64_t size_of(Key key) const {
-    const auto it = index_.find(key);
-    return it == index_.end() ? 0 : it->second.size;
+    const Entry* e = index_.find(key);
+    return e == nullptr ? 0 : e->size;
   }
   [[nodiscard]] std::uint64_t cost_of(Key key) const {
-    const auto it = index_.find(key);
-    return it == index_.end() ? 0 : it->second.cost;
+    const Entry* e = index_.find(key);
+    return e == nullptr ? 0 : e->cost;
   }
 
   [[nodiscard]] CampIntrospection introspect() const {
@@ -221,23 +239,36 @@ class CampCache final : public policy::CacheBase,
   /// operation sequence. Returns false (rather than asserting) so tests can
   /// report the failing sequence.
   [[nodiscard]] bool check_invariants() {
-    if (!head_heap_.check_invariants()) return false;
+    if (!head_heap_.check_invariants() || !index_.check_invariants() ||
+        !queues_.check_invariants()) {
+      return false;
+    }
+    bool ok = true;
     std::uint64_t bytes = 0;
     std::size_t items = 0;
-    for (auto& [ratio, q] : queues_) {
-      if (q.list.empty()) return false;
+    queues_.for_each([&](std::uint64_t ratio, Queue* qp) {
+      Queue& q = *qp;
+      if (q.ratio != ratio || q.list.empty()) {
+        ok = false;
+        return;
+      }
       // Within a queue: strictly increasing (h, seq) from head to tail (seq
       // is globally unique), so the head is the queue's minimum; every entry
-      // belongs to this queue and carries its ratio. Prop. 1 bounds H.
+      // belongs to this queue. Prop. 1 bounds H. A pair whose stamp is the
+      // current max size must round to its queue's ratio (the hit memo).
       bool first = true;
       std::uint64_t prev_h = 0, prev_seq = 0;
       for (Entry& e : q.list) {
-        if (e.ratio != ratio || e.queue != &q) return false;
+        if (e.queue != &q || index_.find(e.key) != &e) ok = false;
         if (!first &&
             (e.h < prev_h || (e.h == prev_h && e.seq <= prev_seq))) {
-          return false;
+          ok = false;
         }
-        if (e.h < inflation_ || e.h > inflation_ + e.ratio) return false;
+        if (e.h < inflation_ || e.h > inflation_ + ratio) ok = false;
+        if (e.stamp == scaler_.max_size() &&
+            scaler_.scale_and_round(e.cost, e.size, precision()) != ratio) {
+          ok = false;
+        }
         first = false;
         prev_h = e.h;
         prev_seq = e.seq;
@@ -248,10 +279,12 @@ class CampCache final : public policy::CacheBase,
       const HeadKey hk = head_heap_.value(q.handle);
       const Entry* head = q.list.front();
       if (hk.h != head->h || hk.seq != head->seq || hk.queue != &q) {
-        return false;
+        ok = false;
       }
-    }
-    if (bytes != used_ || items != index_.size()) return false;
+    });
+    if (!ok || bytes != used_ || items != index_.size()) return false;
+    if (entry_pool_.live() != index_.size()) return false;
+    if (queue_pool_.live() != queues_.size()) return false;
     if (used_ > capacity_) return false;
     return head_heap_.size() == queues_.size();
   }
@@ -263,12 +296,15 @@ class CampCache final : public policy::CacheBase,
     Key key = 0;
     std::uint64_t size = 0;
     std::uint64_t cost = 0;
-    std::uint64_t ratio = 0;  // rounded scaled cost-to-size ratio (queue id)
-    std::uint64_t h = 0;      // priority = L at last touch + ratio
-    std::uint64_t seq = 0;    // global access sequence, for LRU tie-breaks
-    Queue* queue = nullptr;
+    // Scaler max size that queue->ratio (this pair's rounded ratio) was
+    // computed with; a hit re-rounds only when max size has moved past it.
+    std::uint64_t stamp = 0;
+    std::uint64_t h = 0;    // priority = L at last touch + ratio
+    std::uint64_t seq = 0;  // global access sequence, for LRU tie-breaks
+    Queue* queue = nullptr;  // null only while detached inside put/touch
     intrusive::ListHook hook;
   };
+  static_assert(sizeof(Entry) <= 72, "keep a resident pair within 72 bytes");
 
   struct Queue {
     std::uint64_t ratio = 0;
@@ -305,18 +341,22 @@ class CampCache final : public policy::CacheBase,
   void rebuild_queues() {
     std::vector<Entry*> entries;
     entries.reserve(index_.size());
-    for (auto& [key, e] : index_) entries.push_back(&e);
+    index_.for_each([&](Key, Entry* e) { entries.push_back(e); });
     std::sort(entries.begin(), entries.end(),
               [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
-    for (auto& [ratio, q] : queues_) q.list.clear();
+    queues_.for_each([&](std::uint64_t, Queue* q) {
+      q->list.clear();
+      queue_pool_.release(q);
+    });
     intro_.queues_destroyed += queues_.size();
     queues_.clear();
     head_heap_.clear();
     for (Entry* e : entries) {
       e->queue = nullptr;
-      e->ratio = rounded_ratio(e->cost, e->size);
-      e->h = inflation_ + e->ratio;
-      append(*e, e->ratio);
+      const std::uint64_t ratio = rounded_ratio(e->cost, e->size);
+      e->stamp = scaler_.max_size();
+      e->h = inflation_ + ratio;
+      append(*e, ratio);
     }
   }
 
@@ -335,21 +375,27 @@ class CampCache final : public policy::CacheBase,
     if (q.list.empty()) {
       head_heap_.erase(q.handle);
       ++intro_.queues_destroyed;
-      queues_.erase(q.ratio);  // q is dead after this line
+      queues_.erase(q.ratio);
+      queue_pool_.release(&q);  // q is dead after this line
     } else if (was_head) {
       head_heap_.update(q.handle, head_key(q));
     }
   }
 
-  /// Append an entry (h/seq/ratio already set) to the queue for `ratio`,
+  /// Append an entry (h/seq already set) to the queue for `ratio`,
   /// creating the queue (and its heap node) on demand.
   void append(Entry& e, std::uint64_t ratio) {
-    auto [it, created] = queues_.try_emplace(ratio);
-    Queue& q = it->second;
+    Queue* found = queues_.find(ratio);
+    const bool created = (found == nullptr);
+    if (created) {
+      found = queue_pool_.acquire();
+      found->ratio = ratio;
+      queues_.insert(ratio, found);
+    }
+    Queue& q = *found;
     q.list.push_back(e);
     e.queue = &q;
     if (created) {
-      q.ratio = ratio;
       q.handle = head_heap_.push(head_key(q));
       ++intro_.queues_created;
     }
@@ -361,23 +407,41 @@ class CampCache final : public policy::CacheBase,
   /// *other* resident pairs (Algorithm 1 line 2), then move to MRU position.
   void touch(Entry& e) {
     Queue& q = *e.queue;
-    const bool sole = (q.list.size() == 1);
     // The ratio is re-rounded with the current scaling multiplier (paper:
     // the adaptively-grown multiplier "is used for all future rounding").
-    const std::uint64_t new_ratio = rounded_ratio(e.cost, e.size);
-    if (sole && new_ratio == e.ratio &&
-        head_heap_.top_handle() != q.handle) {
-      // Fast path: p is alone in a queue that is not the global minimum.
-      // The minimum over the other pairs is the heap top as-is.
-      raise_inflation(head_heap_.top().h);
-      e.h = inflation_ + e.ratio;
-      e.seq = ++seq_;
-      head_heap_.update(q.handle, head_key(q));
-      return;
+    // The rounding is a pure function of (cost, size, max size, precision),
+    // and retune restamps every pair, so a current stamp means the queue's
+    // ratio is the answer.
+    std::uint64_t new_ratio = q.ratio;
+    if (e.stamp != scaler_.max_size()) {
+      new_ratio = rounded_ratio(e.cost, e.size);
+      e.stamp = scaler_.max_size();
+    }
+    if (new_ratio == q.ratio) {
+      if (q.list.size() > 1) {
+        // Stays in a queue with other members: move to the tail in place.
+        // Same heap calls as detach + append: one update, only when p was
+        // the head, and no queue is destroyed or created.
+        const bool was_head = (q.list.front() == &e);
+        q.list.move_to_back(e);
+        if (was_head) head_heap_.update(q.handle, head_key(q));
+        raise_inflation(head_heap_.top().h);
+        e.h = inflation_ + new_ratio;
+        e.seq = ++seq_;
+        return;
+      }
+      if (head_heap_.top_handle() != q.handle) {
+        // p is alone in a queue that is not the global minimum. The
+        // minimum over the other pairs is the heap top as-is.
+        raise_inflation(head_heap_.top().h);
+        e.h = inflation_ + new_ratio;
+        e.seq = ++seq_;
+        head_heap_.update(q.handle, head_key(q));
+        return;
+      }
     }
     detach(e);
     if (!head_heap_.empty()) raise_inflation(head_heap_.top().h);
-    e.ratio = new_ratio;
     e.h = inflation_ + new_ratio;
     e.seq = ++seq_;
     append(e, new_ratio);
@@ -392,6 +456,7 @@ class CampCache final : public policy::CacheBase,
     const std::uint64_t vsize = victim->size;
     detach(*victim);
     index_.erase(vkey);
+    entry_pool_.release(victim);
     note_eviction(vkey, vsize);
   }
 
@@ -403,8 +468,10 @@ class CampCache final : public policy::CacheBase,
 
   CampConfig config_;
   util::AdaptiveRatioScaler scaler_;
-  std::unordered_map<Key, Entry> index_;
-  std::unordered_map<std::uint64_t, Queue> queues_;  // rounded ratio -> queue
+  util::ChunkPool<Entry> entry_pool_;
+  util::ChunkPool<Queue> queue_pool_;
+  util::FlatTable<Entry> index_;   // key -> resident pair
+  util::FlatTable<Queue> queues_;  // rounded ratio -> queue
   HeadHeap head_heap_;
   std::uint64_t inflation_ = 0;  // the GDS global value L
   std::uint64_t seq_ = 0;        // global access counter (LRU tie-breaks)

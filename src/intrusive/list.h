@@ -120,17 +120,13 @@ class List {
   }
 
   // Recover T* from the embedded hook (container_of). The offset of a member
-  // designated by a member pointer is computed once from a dummy object.
+  // designated by a member pointer is read off a T-aligned buffer that is
+  // constant-initialised, so no call pays a thread-safe-static guard (and
+  // the compiler folds the whole computation to a constant).
   static std::ptrdiff_t hook_offset() noexcept {
-    union Probe {
-      char raw[sizeof(T)];
-      Probe() {}
-      ~Probe() {}
-    };
-    static const Probe probe;
-    const T* t = reinterpret_cast<const T*>(&probe.raw);
-    return reinterpret_cast<const char*>(&(t->*Hook)) -
-           reinterpret_cast<const char*>(t);
+    alignas(T) static constexpr char probe[sizeof(T)] = {};
+    const T* t = reinterpret_cast<const T*>(probe);
+    return reinterpret_cast<const char*>(&(t->*Hook)) - probe;
   }
   static T* owner(ListHook* h) noexcept {
     return reinterpret_cast<T*>(reinterpret_cast<char*>(h) - hook_offset());

@@ -181,6 +181,28 @@ TEST(Camp, EvictionListenerFires) {
   EXPECT_EQ(evicted[0].second, 150u);
 }
 
+TEST(Camp, OverwriteThatEvictsNeverVictimisesTheIncomingKey) {
+  // An overwritten pair gives up its charge and its queue before the
+  // eviction loop runs, so the loop can never pick it, and every listener
+  // call sees a victim that is already gone. Key 1 is the cheapest pair,
+  // so it would be the first victim if it were still queued.
+  CampCache cache(cfg(1000, 5));
+  for (policy::Key k = 1; k <= 10; ++k) cache.put(k, 100, k);
+  std::vector<policy::Key> evicted;
+  cache.set_eviction_listener([&](policy::Key k, std::uint64_t) {
+    evicted.push_back(k);
+    EXPECT_NE(k, 1u);
+    EXPECT_FALSE(cache.contains(k));
+  });
+  ASSERT_TRUE(cache.put(1, 400, 1));  // 900 others + 400 > 1000: evicts 3
+  EXPECT_EQ(evicted.size(), 3u);
+  EXPECT_TRUE(cache.contains(1));
+  EXPECT_EQ(cache.size_of(1), 400u);
+  EXPECT_EQ(cache.item_count(), 7u);
+  EXPECT_EQ(cache.used_bytes(), 1000u);
+  EXPECT_TRUE(cache.check_invariants());
+}
+
 TEST(Camp, AgedExpensivePairEventuallyEvicted) {
   // The paper: "CAMP is robust enough to prevent an aged expensive
   // key-value pair from occupying memory indefinitely." A pair with a

@@ -5,6 +5,7 @@
 // structures have drifted from the algorithm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -108,18 +109,50 @@ class ReferenceGds {
   std::vector<policy::Key> evictions_;
 };
 
+/// Key draws for the differential run. A small space (< kIdSpaceMin)
+/// re-draws uniformly from its ids; a large one hands out monotonically
+/// increasing ids from 0, the way the KVS engine numbers its pairs, and
+/// re-references recent ones, so ~`space` distinct keys flow through the
+/// cache, its index grows, and erases shift probe runs across the table's
+/// wrap-around.
+class KeyStream {
+ public:
+  static constexpr std::uint64_t kIdSpaceMin = 10'000;
+
+  explicit KeyStream(std::uint64_t space) : space_(space) {}
+
+  policy::Key next(util::Xoshiro256& rng) {
+    if (space_ < kIdSpaceMin) return rng.below(space_);
+    if (next_id_ == 0 || (next_id_ < space_ && rng.below(2) == 0)) {
+      return next_id_++;
+    }
+    return next_id_ - 1 - rng.below(std::min<std::uint64_t>(next_id_, 200));
+  }
+
+  [[nodiscard]] std::uint64_t distinct() const { return next_id_; }
+
+ private:
+  std::uint64_t space_;
+  std::uint64_t next_id_ = 0;
+};
+
 class CampVsReference
-    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<int, std::uint64_t, std::uint64_t>> {};
 
 TEST_P(CampVsReference, IdenticalBehaviour) {
-  const auto [precision, seed] = GetParam();
-  constexpr std::uint64_t kCapacity = 6000;
+  const auto [precision, seed, key_space] = GetParam();
+  const bool large = key_space >= KeyStream::kIdSpaceMin;
+  // The large space keeps ~60 pairs resident (the reference scans them all
+  // on every hit) and runs long enough to hand out every id.
+  const std::uint64_t capacity = large ? 20'000 : 6000;
+  const int ops = large ? static_cast<int>(key_space * 2) : 8000;
 
   CampConfig config;
-  config.capacity_bytes = kCapacity;
+  config.capacity_bytes = capacity;
   config.precision = precision;
   CampCache cache(config);
-  ReferenceGds reference(kCapacity, precision);
+  ReferenceGds reference(capacity, precision);
 
   std::vector<policy::Key> camp_evictions;
   cache.set_eviction_listener([&](policy::Key k, std::uint64_t) {
@@ -127,8 +160,9 @@ TEST_P(CampVsReference, IdenticalBehaviour) {
   });
 
   util::Xoshiro256 rng(seed);
-  for (int op = 0; op < 8000; ++op) {
-    const policy::Key k = rng.below(120);
+  KeyStream keys(key_space);
+  for (int op = 0; op < ops; ++op) {
+    const policy::Key k = keys.next(rng);
     const auto dice = rng.below(100);
     if (dice < 80) {
       const bool camp_hit = cache.get(k);
@@ -152,16 +186,39 @@ TEST_P(CampVsReference, IdenticalBehaviour) {
     }
     ASSERT_EQ(cache.used_bytes(), reference.used()) << "op " << op;
     ASSERT_EQ(cache.inflation(), reference.inflation()) << "op " << op;
-    ASSERT_EQ(camp_evictions, reference.evictions()) << "op " << op;
+    ASSERT_EQ(camp_evictions.size(), reference.evictions().size())
+        << "op " << op;
+    if (!camp_evictions.empty()) {
+      ASSERT_EQ(camp_evictions.back(), reference.evictions().back())
+          << "op " << op;
+    }
+    if (op % 2000 == 0) {
+      ASSERT_TRUE(cache.check_invariants()) << "op " << op;
+    }
   }
+  EXPECT_EQ(camp_evictions, reference.evictions());
+  EXPECT_TRUE(cache.check_invariants());
   EXPECT_GT(camp_evictions.size(), 100u) << "the test must exercise eviction";
+  if (large) {
+    EXPECT_GE(keys.distinct(), key_space * 9 / 10);
+    EXPECT_GT(cache.item_count(), 32u) << "the index must grow past 64 slots";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PrecisionSeeds, CampVsReference,
     ::testing::Combine(::testing::Values(1, 3, 5, 10,
                                          util::kPrecisionInfinity),
-                       ::testing::Values<std::uint64_t>(2, 17, 99, 1234)));
+                       ::testing::Values<std::uint64_t>(2, 17, 99, 1234),
+                       ::testing::Values<std::uint64_t>(120)));
+
+// ~10^5 engine-style ids: fewer seeds, since each run is 25x longer.
+INSTANTIATE_TEST_SUITE_P(
+    IdSpace, CampVsReference,
+    ::testing::Combine(::testing::Values(1, 3, 5, 10,
+                                         util::kPrecisionInfinity),
+                       ::testing::Values<std::uint64_t>(2, 1234),
+                       ::testing::Values<std::uint64_t>(100'000)));
 
 }  // namespace
 }  // namespace camp::core
