@@ -146,6 +146,12 @@ void KvsClient::wait_ready(bool want_write) {
 }
 
 void KvsClient::fill_inbuf() {
+  // Compact once per read instead of erasing inbuf_'s front per line and
+  // per payload: parsing a multi-value reply stays linear in its size.
+  if (in_pos_ > 0) {
+    inbuf_.erase(0, in_pos_);
+    in_pos_ = 0;
+  }
   char chunk[16 * 1024];
   const ssize_t n =
       net::retry_eintr([&] { return ::recv(fd_, chunk, sizeof(chunk), 0); });
@@ -160,10 +166,10 @@ void KvsClient::fill_inbuf() {
 
 std::string KvsClient::read_line() {
   for (;;) {
-    const std::size_t pos = inbuf_.find("\r\n");
+    const std::size_t pos = inbuf_.find("\r\n", in_pos_);
     if (pos != std::string::npos) {
-      std::string line = inbuf_.substr(0, pos);
-      inbuf_.erase(0, pos + 2);
+      std::string line = inbuf_.substr(in_pos_, pos - in_pos_);
+      in_pos_ = pos + 2;
       return line;
     }
     fill_inbuf();
@@ -171,11 +177,11 @@ std::string KvsClient::read_line() {
 }
 
 std::string KvsClient::read_bytes(std::size_t n) {
-  while (inbuf_.size() < n + 2) {  // payload + CRLF
+  while (inbuf_.size() - in_pos_ < n + 2) {  // payload + CRLF
     fill_inbuf();
   }
-  std::string payload = inbuf_.substr(0, n);
-  inbuf_.erase(0, n + 2);
+  std::string payload = inbuf_.substr(in_pos_, n);
+  in_pos_ += n + 2;
   return payload;
 }
 

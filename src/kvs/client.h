@@ -76,13 +76,15 @@ class KvsClient final : public KvsApi {
   /// loop.
   void wait_ready(bool want_write);
   /// One blocking recv appended to inbuf_ (EINTR retried — a signal is not
-  /// a peer disconnect). Throws on EOF or socket error.
+  /// a peer disconnect), after dropping the bytes already parsed. Throws on
+  /// EOF or socket error.
   void fill_inbuf();
   [[nodiscard]] std::string read_line();
   [[nodiscard]] std::string read_bytes(std::size_t n);
 
   int fd_ = -1;
   std::string inbuf_;
+  std::size_t in_pos_ = 0;  // bytes of inbuf_ already parsed
   std::uint64_t write_count_ = 0;
 };
 

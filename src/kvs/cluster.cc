@@ -6,17 +6,13 @@
 
 #include "kvs/client.h"
 #include "kvs/compress.h"
+#include "util/key_hash.h"
 
 namespace camp::kvs {
 
 std::uint64_t cluster_route_key(std::string_view key) noexcept {
   // FNV-1a; the ring applies its own finalizing mix on top.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return util::fnv1a64(key);
 }
 
 void ClusterConfig::validate() const {

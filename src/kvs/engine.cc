@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "util/key_hash.h"
+
 namespace camp::kvs {
 
 namespace {
@@ -15,6 +17,17 @@ std::uint32_t remaining_ttl_s(std::uint64_t expiry_ns,
   if (expiry_ns == 0) return 0;
   return static_cast<std::uint32_t>((expiry_ns - now_ns + 999'999'999ULL) /
                                     1'000'000'000ULL);
+}
+
+/// remaining_ttl_s now; the hit path reads the clock only for a pair that
+/// expires.
+std::uint32_t ttl_left(std::uint64_t expiry_ns, const util::Clock& clock) {
+  return expiry_ns == 0 ? 0 : remaining_ttl_s(expiry_ns, clock.now_ns());
+}
+
+/// The key bytes resident in `chunk`.
+std::string_view chunk_key(const slab::Chunk& chunk) {
+  return item_key(chunk.data, read_item_header(chunk.data));
 }
 
 }  // namespace
@@ -38,65 +51,64 @@ KvsEngine::KvsEngine(EngineConfig config, const PolicyFactory& policy_factory,
       [this](policy::Key id, std::uint64_t) { on_policy_eviction(id); });
 }
 
+KvsEngine::Item* KvsEngine::find_item(std::uint64_t hash,
+                                      std::string_view key) const {
+  return by_hash_.find_if(
+      hash, [key](const Item* item) { return chunk_key(item->chunk) == key; });
+}
+
 GetResult KvsEngine::get(std::string_view key) {
   ++stats_.gets;
-  const auto it = index_.find(std::string(key));
-  if (it == index_.end()) return {};
-  if (it->second.expiry_ns != 0 && clock_.now_ns() >= it->second.expiry_ns) {
+  Item* item = find_item(util::key_hash(key), key);
+  if (item == nullptr) return {};
+  if (expired(*item)) {
     // Lazy expiration: drop the stale pair and report a miss.
     ++stats_.expired;
-    policy_->erase(it->second.id);
-    const std::string key_copy = it->first;  // remove_item erases the node
-    remove_item(key_copy, /*free_chunk=*/true);
+    erase_item(item);
     return {};
   }
-  Item& item = it->second;
-  const ItemHeader header = read_item_header(item.chunk.data);
+  const ItemHeader header = read_item_header(item->chunk.data);
   GetResult result;
-  if (item.codec == Codec::kIdentity) {
-    result.value.assign(item_stored(item.chunk.data, header));
-  } else if (!decompress_value(item.codec, item_stored(item.chunk.data, header),
-                               item.raw_len, result.value)) {
+  if (item->codec == Codec::kIdentity) {
+    result.value.assign(item_stored(item->chunk.data, header));
+  } else if (!decompress_value(item->codec,
+                               item_stored(item->chunk.data, header),
+                               item->raw_len, result.value)) {
     // Corrupt stored bytes (a bad peer transfer that slipped past wire
     // validation): drop the pair and miss, before any hit accounting.
     ++stats_.decompress_failures;
-    policy_->erase(item.id);
-    const std::string key_copy = it->first;
-    remove_item(key_copy, /*free_chunk=*/true);
+    erase_item(item);
     return {};
   }
   ++stats_.hits;
-  policy_->get(item.id);  // refresh recency/priority
+  policy_->get(item->id);  // refresh recency/priority
   result.hit = true;
-  result.flags = item.flags;
-  result.cost = item.cost;
-  result.remaining_ttl_s = remaining_ttl_s(item.expiry_ns, clock_.now_ns());
+  result.flags = header.flags;
+  result.cost = header.cost;
+  result.remaining_ttl_s = ttl_left(item->expiry_ns, clock_);
   return result;
 }
 
 StoredGetResult KvsEngine::get_stored(std::string_view key) {
   ++stats_.gets;
-  const auto it = index_.find(std::string(key));
-  if (it == index_.end()) return {};
-  if (it->second.expiry_ns != 0 && clock_.now_ns() >= it->second.expiry_ns) {
+  Item* item = find_item(util::key_hash(key), key);
+  if (item == nullptr) return {};
+  if (expired(*item)) {
     ++stats_.expired;
-    policy_->erase(it->second.id);
-    const std::string key_copy = it->first;  // remove_item erases the node
-    remove_item(key_copy, /*free_chunk=*/true);
+    erase_item(item);
     return {};
   }
   ++stats_.hits;
-  Item& item = it->second;
-  policy_->get(item.id);  // refresh recency/priority
-  const ItemHeader header = read_item_header(item.chunk.data);
+  policy_->get(item->id);  // refresh recency/priority
+  const ItemHeader header = read_item_header(item->chunk.data);
   StoredGetResult result;
   result.hit = true;
-  result.stored.assign(item_stored(item.chunk.data, header));
-  result.raw_len = item.raw_len;
-  result.codec = item.codec;
-  result.flags = item.flags;
-  result.cost = item.cost;
-  result.remaining_ttl_s = remaining_ttl_s(item.expiry_ns, clock_.now_ns());
+  result.stored.assign(item_stored(item->chunk.data, header));
+  result.raw_len = item->raw_len;
+  result.codec = item->codec;
+  result.flags = header.flags;
+  result.cost = header.cost;
+  result.remaining_ttl_s = ttl_left(item->expiry_ns, clock_);
   return result;
 }
 
@@ -162,25 +174,20 @@ bool KvsEngine::store_internal(std::string_view key, std::string_view stored,
   }
   const std::uint64_t charged = slab_.chunk_size_of_class(*cls);
 
-  std::string key_str(key);
+  const std::uint64_t hash = util::key_hash(key);
   // Overwrite semantics: drop any existing copy first — including its
   // policy charge, or the stale id would keep its chunk-size accounted
   // until pressure happened to evict the phantom.
-  const auto existing = index_.find(key_str);
-  if (existing != index_.end()) {
-    policy_->erase(existing->second.id);
-    remove_item(key_str, /*free_chunk=*/true);
-  }
+  if (Item* existing = find_item(hash, key)) erase_item(existing);
 
   // Let the policy account for the pair and evict as needed (evictions call
-  // back into on_policy_eviction, which frees chunks).
+  // back into on_policy_eviction, which frees chunks). The id is indexed
+  // only once the item exists; until then pending_id_ stands in for it.
   const policy::Key id = next_id_++;
-  id_to_key_[id] = key_str;
   pending_id_ = id;
   pending_evicted_ = false;
   if (!policy_->put(id, charged, cost)) {
     pending_id_ = 0;
-    id_to_key_.erase(id);
     ++stats_.rejected_sets;
     return false;
   }
@@ -197,25 +204,26 @@ bool KvsEngine::store_internal(std::string_view key, std::string_view stored,
   if (!chunk || pending_evicted_) {
     if (chunk) slab_.free(*chunk);
     if (!pending_evicted_) policy_->erase(id);
-    id_to_key_.erase(id);
     ++stats_.rejected_sets;
     return false;
   }
   write_item(chunk->data, key, stored, raw_len, codec, flags, cost);
-  Item item;
-  item.id = id;
-  item.chunk = *chunk;
-  item.raw_len = raw_len;
-  item.stored_len = static_cast<std::uint32_t>(stored.size());
-  item.codec = codec;
-  item.flags = flags;
-  item.cost = cost;
-  item.expiry_ns =
-      exptime_s == 0
-          ? 0
-          : clock_.now_ns() + static_cast<std::uint64_t>(exptime_s) *
-                                  1'000'000'000ull;
-  index_.emplace(std::move(key_str), item);
+  Item* item = items_.acquire();
+  *item = Item{
+      .hash = hash,
+      .id = id,
+      .chunk = *chunk,
+      .raw_len = raw_len,
+      .stored_len = static_cast<std::uint32_t>(stored.size()),
+      .expiry_ns = exptime_s == 0
+                       ? 0
+                       : clock_.now_ns() + static_cast<std::uint64_t>(
+                                               exptime_s) *
+                                               1'000'000'000ull,
+      .codec = codec,
+  };
+  by_hash_.insert_multi(hash, item);
+  by_id_.insert(id, item);
   ++stats_.items;
   stats_.value_bytes += raw_len;
   stats_.stored_bytes += stored.size();
@@ -243,61 +251,93 @@ bool KvsEngine::iqset(std::string_view key, std::string_view value,
 
 bool KvsEngine::del(std::string_view key) {
   ++stats_.deletes;
-  const std::string key_str(key);
-  const auto it = index_.find(key_str);
-  if (it == index_.end()) return false;
-  policy_->erase(it->second.id);  // no eviction callback for erase
-  remove_item(key_str, /*free_chunk=*/true);
+  Item* item = find_item(util::key_hash(key), key);
+  if (item == nullptr) return false;
+  erase_item(item);
   return true;
 }
 
 void KvsEngine::flush_all() {
-  while (!index_.empty()) {
-    const std::string key = index_.begin()->first;
-    policy_->erase(index_.begin()->second.id);
-    remove_item(key, /*free_chunk=*/true);
-  }
+  by_hash_.for_each([this](std::uint64_t, Item* item) {
+    policy_->erase(item->id);  // no eviction callback for erase
+    slab_.free(item->chunk);
+    items_.release(item);
+  });
+  by_hash_.clear();
+  by_id_.clear();
+  stats_.items = 0;
+  stats_.value_bytes = 0;
+  stats_.stored_bytes = 0;
   miss_timestamps_.clear();
 }
 
 bool KvsEngine::contains(std::string_view key) const {
-  return index_.contains(std::string(key));
+  return find_item(util::key_hash(key), key) != nullptr;
 }
 
 std::uint32_t KvsEngine::cost_of(std::string_view key) const {
-  const auto it = index_.find(std::string(key));
-  return it == index_.end() ? 0 : it->second.cost;
+  const Item* item = find_item(util::key_hash(key), key);
+  return item == nullptr ? 0 : read_item_header(item->chunk.data).cost;
 }
 
 void KvsEngine::for_each_item(
     const std::function<void(const ItemView&)>& fn) const {
   const std::uint64_t now = clock_.now_ns();
-  for (const auto& [key, item] : index_) {
-    if (item.expiry_ns != 0 && now >= item.expiry_ns) continue;
-    const ItemHeader header = read_item_header(item.chunk.data);
+  by_hash_.for_each([&](std::uint64_t, const Item* item) {
+    if (item->expiry_ns != 0 && now >= item->expiry_ns) return;
+    const ItemHeader header = read_item_header(item->chunk.data);
     ItemView view;
-    view.key = key;
-    view.stored = item_stored(item.chunk.data, header);
-    view.raw_len = item.raw_len;
-    view.codec = item.codec;
-    view.flags = item.flags;
-    view.cost = item.cost;
-    view.remaining_ttl_s = remaining_ttl_s(item.expiry_ns, now);
-    view.charged_bytes = item.chunk.size;
+    view.key = item_key(item->chunk.data, header);
+    view.stored = item_stored(item->chunk.data, header);
+    view.raw_len = item->raw_len;
+    view.codec = item->codec;
+    view.flags = header.flags;
+    view.cost = header.cost;
+    view.remaining_ttl_s = remaining_ttl_s(item->expiry_ns, now);
+    view.charged_bytes = item->chunk.size;
     fn(view);
-  }
+  });
 }
 
-void KvsEngine::remove_item(const std::string& key, bool free_chunk) {
-  const auto it = index_.find(key);
-  assert(it != index_.end());
-  Item& item = it->second;
-  if (free_chunk) slab_.free(item.chunk);
-  id_to_key_.erase(item.id);
-  stats_.value_bytes -= item.raw_len;
-  stats_.stored_bytes -= item.stored_len;
+bool KvsEngine::check_invariants() const {
+  const std::size_t n = by_hash_.size();
+  if (!by_hash_.check_invariants() || !by_id_.check_invariants() ||
+      by_id_.size() != n || items_.live() != n || stats_.items != n ||
+      policy_->item_count() != n) {
+    return false;
+  }
+  bool ok = true;
+  std::uint64_t value_bytes = 0;
+  std::uint64_t stored_bytes = 0;
+  by_hash_.for_each([&](std::uint64_t hash, const Item* item) {
+    const ItemHeader header = read_item_header(item->chunk.data);
+    const std::string_view key = item_key(item->chunk.data, header);
+    // Ids are unique and both tables hold n members, so finding every item
+    // under its own id also proves by_id_ holds nothing else.
+    ok = ok && item->hash == hash && util::key_hash(key) == hash &&
+         find_item(hash, key) == item && by_id_.find(item->id) == item &&
+         header.stored_len == item->stored_len &&
+         policy_->contains(item->id);
+    value_bytes += item->raw_len;
+    stored_bytes += item->stored_len;
+  });
+  return ok && value_bytes == stats_.value_bytes &&
+         stored_bytes == stats_.stored_bytes;
+}
+
+void KvsEngine::erase_item(Item* item) {
+  policy_->erase(item->id);  // no eviction callback for erase
+  remove_item(item, /*free_chunk=*/true);
+}
+
+void KvsEngine::remove_item(Item* item, bool free_chunk) {
+  if (free_chunk) slab_.free(item->chunk);
+  by_hash_.erase_value(item->hash, item);
+  by_id_.erase(item->id);
+  stats_.value_bytes -= item->raw_len;
+  stats_.stored_bytes -= item->stored_len;
   --stats_.items;
-  index_.erase(it);
+  items_.release(item);
 }
 
 void KvsEngine::on_policy_eviction(policy::Key id) {
@@ -305,29 +345,26 @@ void KvsEngine::on_policy_eviction(policy::Key id) {
     pending_evicted_ = true;  // the in-flight set was chosen as the victim
     return;
   }
-  const auto it = id_to_key_.find(id);
-  if (it == id_to_key_.end()) return;  // already gone
-  notify_eviction(it->second);
-  remove_item(it->second, /*free_chunk=*/true);
+  Item* item = by_id_.find(id);
+  if (item == nullptr) return;  // already gone
+  notify_eviction(*item);
+  remove_item(item, /*free_chunk=*/true);
 }
 
-void KvsEngine::notify_eviction(const std::string& key) {
+void KvsEngine::notify_eviction(const Item& item) {
   if (!eviction_hook_) return;
-  const auto it = index_.find(key);
-  if (it == index_.end()) return;
-  const Item& item = it->second;
   const std::uint64_t now = clock_.now_ns();
   // An already-lapsed pair is dead weight: dropping it loses nothing, so
   // the hook (and the cluster's guard) never sees it.
   if (item.expiry_ns != 0 && now >= item.expiry_ns) return;
   const ItemHeader header = read_item_header(item.chunk.data);
   EvictedItem evicted;
-  evicted.key = key;
+  evicted.key = item_key(item.chunk.data, header);
   evicted.stored = item_stored(item.chunk.data, header);
   evicted.raw_len = item.raw_len;
   evicted.codec = item.codec;
-  evicted.flags = item.flags;
-  evicted.cost = item.cost;
+  evicted.flags = header.flags;
+  evicted.cost = header.cost;
   evicted.charged_bytes = item.chunk.size;
   evicted.remaining_ttl_s = remaining_ttl_s(item.expiry_ns, now);
   eviction_hook_(evicted);
@@ -354,14 +391,15 @@ std::optional<slab::Chunk> KvsEngine::allocate_with_pressure(
   for (int attempt = 0; attempt < 4; ++attempt) {
     const bool reassigned = slab_.reassign_slab(
         *cls, rng_, [this](const slab::Chunk& victim_chunk) {
-          const ItemHeader header = read_item_header(victim_chunk.data);
-          const std::string key(item_key(victim_chunk.data, header));
-          const auto it = index_.find(key);
-          if (it == index_.end()) return;
-          policy_->erase(it->second.id);
-          notify_eviction(key);  // pressure drop, same as a policy eviction
+          const std::byte* data = victim_chunk.data;
+          Item* item = by_hash_.find_if(
+              util::key_hash(chunk_key(victim_chunk)),
+              [data](const Item* i) { return i->chunk.data == data; });
+          if (item == nullptr) return;
+          policy_->erase(item->id);
+          notify_eviction(*item);  // pressure drop, same as a policy eviction
           // The chunk is being re-carved: do NOT free it back to its class.
-          remove_item(key, /*free_chunk=*/false);
+          remove_item(item, /*free_chunk=*/false);
         });
     if (!reassigned) break;
     ++stats_.slab_reassignments;

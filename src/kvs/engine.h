@@ -9,6 +9,14 @@
 //     subsequent iqset uses (set_time - miss_time) as the pair's cost
 //     ("the difference between these two timestamps is used as the cost").
 //
+// Each resident pair is one pooled Item (util::ChunkPool) holding its chunk
+// and metadata, found through one open-addressing index (util::FlatTable)
+// keyed by the key's 64-bit hash (util::key_hash). The key itself is kept
+// once, in the pair's slab chunk: a lookup confirms a hash match against
+// the chunk's key bytes, and keys that share a hash simply sit side by
+// side in the index. A second FlatTable maps the policy id to the item for
+// the policy's eviction callback. No lookup builds a std::string.
+//
 // Not thread-safe by itself: KvsStore (kvs/store.h) provides the
 // hash-partitioned, per-shard-locked wrapper from the paper's Section 4.1.
 #pragma once
@@ -24,6 +32,7 @@
 #include "policy/cache_iface.h"
 #include "slab/slab_allocator.h"
 #include "util/clock.h"
+#include "util/flat_table.h"
 #include "util/rng.h"
 
 namespace camp::kvs {
@@ -235,17 +244,26 @@ class KvsEngine {
   }
   [[nodiscard]] const slab::SlabAllocator& allocator() const { return slab_; }
 
+  /// Every item is reachable by its hash and by its id, and its chunk's key
+  /// hashes and maps back to it; the item pool's live count, both indexes,
+  /// EngineStats::items and the policy's item_count() agree; value_bytes
+  /// and stored_bytes equal their sums over the items. O(items): tests only.
+  [[nodiscard]] bool check_invariants() const;
+
  private:
-  struct Item {
+  /// A resident pair's engine-side metadata: one cache line, so a lookup
+  /// misses on its index slot, its item and its chunk, no more. Flags and
+  /// cost live only in the chunk's ItemHeader, read on every hit anyway.
+  struct alignas(64) Item {
+    std::uint64_t hash = 0;  // util::key_hash of the key in the chunk
     policy::Key id = 0;
     slab::Chunk chunk;
     std::uint32_t raw_len = 0;     // client-visible value length
     std::uint32_t stored_len = 0;  // post-codec bytes in the chunk
+    std::uint64_t expiry_ns = 0;   // 0 = never expires
     Codec codec = Codec::kIdentity;
-    std::uint32_t flags = 0;
-    std::uint32_t cost = 0;
-    std::uint64_t expiry_ns = 0;  // 0 = never expires
   };
+  static_assert(sizeof(Item) == 64, "an Item is one cache line");
 
   /// Shared tail of set()/set_stored(): charge, allocate, write the chunk.
   /// `stored` is the exact bytes to keep under `codec`; stats (sets,
@@ -253,11 +271,21 @@ class KvsEngine {
   bool store_internal(std::string_view key, std::string_view stored,
                       std::uint32_t raw_len, Codec codec, std::uint32_t flags,
                       std::uint32_t cost, std::uint32_t exptime_s);
-  void remove_item(const std::string& key, bool free_chunk);
+  /// The resident item for `key` (whose util::key_hash is `hash`), or null.
+  [[nodiscard]] Item* find_item(std::uint64_t hash,
+                                std::string_view key) const;
+  [[nodiscard]] bool expired(const Item& item) const {
+    return item.expiry_ns != 0 && clock_.now_ns() >= item.expiry_ns;
+  }
+  /// A caller-visible removal (delete, overwrite, expiry, flush): the
+  /// policy forgets the id without an eviction callback.
+  void erase_item(Item* item);
+  /// Unindex the item, settle the stats and return it to the pool.
+  void remove_item(Item* item, bool free_chunk);
   void on_policy_eviction(policy::Key id);
   /// Fire eviction_hook_ for a still-resident pair about to be dropped
   /// under pressure.
-  void notify_eviction(const std::string& key);
+  void notify_eviction(const Item& item);
   [[nodiscard]] std::optional<slab::Chunk> allocate_with_pressure(
       std::uint64_t footprint);
 
@@ -266,8 +294,10 @@ class KvsEngine {
   std::unique_ptr<policy::ICache> policy_;
   const util::Clock& clock_;
   util::Xoshiro256 rng_;
-  std::unordered_map<std::string, Item> index_;
-  std::unordered_map<policy::Key, std::string> id_to_key_;
+  util::ChunkPool<Item> items_;
+  util::FlatTable<Item> by_hash_;  // key hash -> item (equal hashes allowed)
+  util::FlatTable<Item> by_id_;    // policy id -> item
+  // Only iqget misses land here, so it stays a plain string-keyed map.
   std::unordered_map<std::string, std::uint64_t> miss_timestamps_;
   policy::Key next_id_ = 1;
   // Set in flight: the policy already accounts for this id but its chunk is

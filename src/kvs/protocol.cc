@@ -314,7 +314,8 @@ CommandDecoder::Status CommandDecoder::next(DecodedCommand& out) {
                                               : Status::kNeedMore;
     }
     if (eol - pos_ > kMaxCommandLineBytes) return Status::kFatalError;
-    const std::string line = buf_.substr(pos_, eol - pos_);
+    // A view into buf_: nothing below touches buf_ before the line is done.
+    const std::string_view line(buf_.data() + pos_, eol - pos_);
     pos_ = eol + 2;
     auto cmd = parse_command(line);
     if (!cmd) {

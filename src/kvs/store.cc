@@ -3,23 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/rng.h"
+#include "util/key_hash.h"
 
 namespace camp::kvs {
-
-namespace {
-
-std::uint64_t hash_key(std::string_view key) {
-  // FNV-1a finished with a strong mix.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return util::mix64(h);
-}
-
-}  // namespace
 
 KvsStore::KvsStore(StoreConfig config, const PolicyFactory& policy_factory,
                    const util::Clock& clock) {
@@ -58,13 +44,14 @@ KvsStore::KvsStore(StoreConfig config, const PolicyFactory& policy_factory,
 }
 
 KvsStore::Shard& KvsStore::shard_for(std::string_view key) const {
-  return *shards_[static_cast<std::size_t>(hash_key(key) % shards_.size())];
+  return *shards_[static_cast<std::size_t>(util::key_hash(key) %
+                                           shards_.size())];
 }
 
 void KvsStore::autotune_observe_locked(Shard& shard, std::string_view key,
                                        std::uint64_t size,
                                        std::uint64_t cost) {
-  tuner_->observe(hash_key(key), size, cost);
+  tuner_->observe(util::key_hash(key), size, cost);
   const std::uint64_t epoch = tuner_->epoch();
   if (epoch == shard.tuner_epoch_seen) return;
   shard.tuner_epoch_seen = epoch;

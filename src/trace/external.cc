@@ -7,6 +7,8 @@
 #include <istream>
 #include <stdexcept>
 
+#include "util/key_hash.h"
+
 namespace camp::trace {
 
 namespace {
@@ -53,12 +55,7 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 }  // namespace
 
 std::uint64_t hash_key(std::string_view key) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV offset basis
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;  // FNV prime
-  }
-  return h;
+  return util::fnv1a64(key);
 }
 
 std::uint32_t tiered_cost(std::uint64_t key, std::uint64_t seed) noexcept {

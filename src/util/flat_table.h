@@ -1,4 +1,5 @@
-// Allocation-free building blocks for the policy layer's per-pair state:
+// Allocation-free building blocks for per-pair state (core::CampCache's
+// pairs and queues, kvs::KvsEngine's resident items):
 //
 //   * ChunkPool<T>  — stable-address storage for T in fixed-size chunks,
 //     with a free list. Released objects are recycled before a new chunk
@@ -11,6 +12,9 @@
 //     growth by doubling when an insert would push the load above 1/2.
 //     No probe divides; every key value, 0 included, is a valid key (an
 //     empty slot is marked by a null value, not by a reserved key).
+//     A table keyed by a hash of some longer key may hold several members
+//     under one 64-bit key (insert_multi); find_if confirms the member
+//     against the full key and erase_value removes exactly one of them.
 //
 // Neither shrinks: both keep their high-water capacity, which is what makes
 // a cache that churns at a steady resident count allocation-free.
@@ -96,9 +100,29 @@ class FlatTable {
     }
   }
 
+  /// The first member under `key` whose value satisfies `pred`, probing
+  /// past members with an equal key that do not; null if there is none.
+  template <class Pred>
+  [[nodiscard]] T* find_if(Key key, Pred&& pred) const {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.value == nullptr) return nullptr;
+      if (s.key == key && pred(static_cast<const T*>(s.value))) {
+        return s.value;
+      }
+    }
+  }
+
   /// Insert a key that is not present. `value` must be non-null.
   void insert(Key key, T* value) {
-    assert(value != nullptr && find(key) == nullptr);
+    assert(find(key) == nullptr);
+    insert_multi(key, value);
+  }
+
+  /// Insert `value` under `key` beside any members already holding that
+  /// key. `value` must be non-null.
+  void insert_multi(Key key, T* value) {
+    assert(value != nullptr);
     if (2 * (size_ + 1) > capacity()) grow();
     place(key, value);
     ++size_;
@@ -112,18 +136,19 @@ class FlatTable {
       if (slots_[i].value == nullptr) return false;
       if (slots_[i].key == key) break;
     }
-    for (std::size_t j = i;;) {
-      j = (j + 1) & mask_;
-      if (slots_[j].value == nullptr) break;
-      // The member at j may fill the hole at i unless its home lies
-      // cyclically in (i, j].
-      if (((j - home(slots_[j].key)) & mask_) >= ((j - i) & mask_)) {
-        slots_[i] = slots_[j];
-        i = j;
-      }
+    erase_slot(i);
+    return true;
+  }
+
+  /// Remove the one member (`key`, `value`); returns false if it is absent.
+  /// Other members under `key` stay.
+  bool erase_value(Key key, const T* value) noexcept {
+    std::size_t i = home(key);
+    for (;; i = (i + 1) & mask_) {
+      if (slots_[i].value == nullptr) return false;
+      if (slots_[i].value == value && slots_[i].key == key) break;
     }
-    slots_[i].value = nullptr;
-    --size_;
+    erase_slot(i);
     return true;
   }
 
@@ -160,6 +185,23 @@ class FlatTable {
     Key key = 0;
     T* value = nullptr;  // null marks an empty slot
   };
+
+  /// Empty the occupied slot `i`, shifting later members of its probe run
+  /// back so none is left behind a gap.
+  void erase_slot(std::size_t i) noexcept {
+    for (std::size_t j = i;;) {
+      j = (j + 1) & mask_;
+      if (slots_[j].value == nullptr) break;
+      // The member at j may fill the hole at i unless its home lies
+      // cyclically in (i, j].
+      if (((j - home(slots_[j].key)) & mask_) >= ((j - i) & mask_)) {
+        slots_[i] = slots_[j];
+        i = j;
+      }
+    }
+    slots_[i].value = nullptr;
+    --size_;
+  }
 
   void reset(std::size_t capacity) {
     slots_.assign(capacity, Slot{});

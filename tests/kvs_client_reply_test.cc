@@ -6,15 +6,19 @@
 // scripts, then drives a real KvsClient against it.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "kvs/client.h"
 #include "kvs/protocol.h"
@@ -23,10 +27,13 @@ namespace camp::kvs {
 namespace {
 
 /// Accepts ONE connection, reads (and discards) one request chunk, writes
-/// the scripted reply, then holds the connection open until destruction.
+/// the scripted reply — in one send, or in `segment`-byte sends with a
+/// short pause between them — then holds the connection open until
+/// destruction.
 class CannedPeer {
  public:
-  explicit CannedPeer(std::string reply) : reply_(std::move(reply)) {
+  explicit CannedPeer(std::string reply, std::size_t segment = 0)
+      : reply_(std::move(reply)), segment_(segment) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -44,7 +51,17 @@ class CannedPeer {
       if (conn_fd_ < 0) return;
       char buf[4096];
       (void)!::recv(conn_fd_, buf, sizeof(buf), 0);  // the request; ignored
-      (void)!::send(conn_fd_, reply_.data(), reply_.size(), MSG_NOSIGNAL);
+      if (segment_ == 0) {
+        (void)!::send(conn_fd_, reply_.data(), reply_.size(), MSG_NOSIGNAL);
+      } else {
+        const int one = 1;
+        ::setsockopt(conn_fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        for (std::size_t at = 0; at < reply_.size(); at += segment_) {
+          (void)!::send(conn_fd_, reply_.data() + at,
+                        std::min(segment_, reply_.size() - at), MSG_NOSIGNAL);
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+      }
       // Signal end-of-stream so a parser waiting for more bytes fails fast
       // instead of blocking the test.
       ::shutdown(conn_fd_, SHUT_WR);
@@ -61,6 +78,7 @@ class CannedPeer {
 
  private:
   std::string reply_;
+  std::size_t segment_ = 0;
   int listen_fd_ = -1;
   int conn_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -132,6 +150,47 @@ TEST(ClientReplyParse, WellFormedRepliesStillParse) {
   EXPECT_TRUE(r.hit);
   EXPECT_EQ(r.flags, 7u);
   EXPECT_EQ(r.value, "vv");
+}
+
+TEST(ClientReplyParse, MultiValueReplyInOneByteSegments) {
+  // A 32-key multi-get whose reply trickles in one byte per segment, so
+  // every line and payload boundary straddles a buffer compaction. Every
+  // fourth key misses; payloads carry CRLF and "END" so only the declared
+  // byte count can frame them. A second reply queued behind the first must
+  // survive the compactions intact.
+  KvsBatch batch;
+  std::string reply;
+  std::vector<std::string> expected(32);
+  for (int i = 0; i < 32; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    batch.add_get(key);
+    if (i % 4 == 3) continue;
+    expected[i] = std::string(static_cast<std::size_t>(i), 'x') +
+                  "\r\nEND\r\n" + std::to_string(i);
+    reply += "VALUE " + key + " " + std::to_string(i) + " " +
+             std::to_string(expected[i].size()) + "\r\n" + expected[i] +
+             "\r\n";
+  }
+  reply += "END\r\n";
+  reply += "VALUE tail 9 4\r\nlast\r\nEND\r\n";
+  CannedPeer peer(reply, /*segment=*/1);
+  KvsClient client("127.0.0.1", peer.port());
+  const KvsBatchResult r = client.execute(batch);
+  ASSERT_EQ(r.results.size(), 32u);
+  for (int i = 0; i < 32; ++i) {
+    const KvsOpResult& op = r.results[i];
+    if (i % 4 == 3) {
+      EXPECT_FALSE(op.ok) << i;
+      continue;
+    }
+    ASSERT_TRUE(op.ok) << i;
+    EXPECT_EQ(op.flags, static_cast<std::uint32_t>(i));
+    EXPECT_EQ(op.value, expected[i]);
+  }
+  const GetResult tail = client.get("tail");
+  EXPECT_TRUE(tail.hit);
+  EXPECT_EQ(tail.flags, 9u);
+  EXPECT_EQ(tail.value, "last");
 }
 
 TEST(ClientReplyParse, WellFormedPeerGetStillParses) {
